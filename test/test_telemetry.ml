@@ -310,6 +310,20 @@ let test_execution_differential_aggregate () =
       mining_mode = Sim.Config.Aggregate;
     }
 
+(* A sparse private-chain cell, so most rounds fall inside skipped empty
+   spans: [sim_rounds_total] reaches [config.rounds] only if every
+   fast-forward adds the rounds it stands for. *)
+let test_execution_differential_skip () =
+  let cfg =
+    {
+      (Sim.Scenarios.at_c ~seed:11L ~nu:0.3 ~c:4. ~rounds:2000) with
+      Sim.Config.mining_mode = Sim.Config.Skip;
+    }
+  in
+  check_true "skip lane skips rounds"
+    ((Sim.Execution.run cfg).processed_rounds < cfg.rounds);
+  check_run_identical "skip" cfg
+
 (* --- Campaign telemetry ------------------------------------------- *)
 
 let tiny_spec =
@@ -433,6 +447,7 @@ let suite =
     case "execution differential (exact)" test_execution_differential_exact;
     case "execution differential (aggregate)"
       test_execution_differential_aggregate;
+    case "execution differential (skip)" test_execution_differential_skip;
     case "campaign telemetry invariants" test_campaign_telemetry_invariants;
     case "campaign results unmoved by telemetry"
       test_campaign_telemetry_does_not_move_results;

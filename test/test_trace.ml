@@ -120,35 +120,98 @@ let test_digest_basics () =
   check_true "single-field drift moves the digest"
     (Trace.digest a <> Trace.digest c)
 
-(* Golden digests for the Aggregate executor (with their Exact twins for
-   contrast): any change to the aggregate sampling order, the Δ-ring
-   delivery order, or the trace capture itself moves one of these.  Pins
-   were produced by this build; to re-pin after an intentional change,
-   run the test and copy the printed actuals. *)
-let test_digest_golden () =
-  let drifted = ref [] in
-  let pin name cfg expected =
-    let actual = Trace.digest (Trace.capture cfg) in
-    if actual <> expected then
-      drifted :=
-        Printf.sprintf "%s: digest %LdL, pinned %LdL" name actual expected
-        :: !drifted
-  in
+(* Golden digests for the fast executors (with their Exact twins for
+   contrast): any change to the aggregate or skip sampling order, the
+   Δ-ring delivery order, or the trace capture itself moves one of these.
+   Pins were produced by this build; to re-pin after an intentional
+   change, run the test and copy the printed actuals. *)
+let golden_scenarios () =
   let idle = { Sim.Config.default with rounds = 300 } in
   let selfish = { (Sim.Scenarios.selfish ~seed:7L ~nu:0.3) with rounds = 300 } in
   let private_chain =
     { (Sim.Scenarios.attack_zone ~seed:9L ~nu:0.3) with rounds = 300 }
   in
-  let aggregate cfg = { cfg with Sim.Config.mining_mode = Sim.Config.Aggregate } in
-  pin "idle exact" idle (-8529630278043617785L);
-  pin "idle aggregate" (aggregate idle) 8135491591983535470L;
-  pin "selfish exact" selfish 593782077359320743L;
-  pin "selfish aggregate" (aggregate selfish) (-1688032004928090375L);
-  pin "private-chain exact" private_chain 824747865138562576L;
-  pin "private-chain aggregate" (aggregate private_chain)
-    (-6121173026786046363L);
-  if !drifted <> [] then
-    Alcotest.failf "%s" (String.concat "\n" (List.rev !drifted))
+  (idle, selfish, private_chain)
+
+let with_mode mode cfg = { cfg with Sim.Config.mining_mode = mode }
+
+let check_pins digest pins =
+  let drifted =
+    List.filter_map
+      (fun (name, cfg, expected) ->
+        let actual = digest cfg in
+        if actual = expected then None
+        else
+          Some (Printf.sprintf "%s: digest %LdL, pinned %LdL" name actual expected))
+      pins
+  in
+  if drifted <> [] then Alcotest.failf "%s" (String.concat "\n" drifted)
+
+let test_digest_golden () =
+  let idle, selfish, private_chain = golden_scenarios () in
+  let aggregate = with_mode Sim.Config.Aggregate in
+  let skip = with_mode Sim.Config.Skip in
+  check_pins
+    (fun cfg -> Trace.digest (Trace.capture cfg))
+    [
+      ("idle exact", idle, -8529630278043617785L);
+      ("idle aggregate", aggregate idle, 8135491591983535470L);
+      ("idle skip", skip idle, -5713403842752216858L);
+      ("selfish exact", selfish, 593782077359320743L);
+      ("selfish aggregate", aggregate selfish, -1688032004928090375L);
+      ("selfish skip", skip selfish, 5462542769093252640L);
+      ("private-chain exact", private_chain, 824747865138562576L);
+      ("private-chain aggregate", aggregate private_chain, -6121173026786046363L);
+      ("private-chain skip", skip private_chain, -6408368387510275239L);
+    ]
+
+(* Trace digests never see snapshots or final tips, so the whole
+   [Execution.result] of each fast executor is pinned too: every snapshot
+   round and tip hash, the final tips, and every counter. *)
+let result_digest cfg =
+  let r = Sim.Execution.run cfg in
+  let mix = Nakamoto_prob.Rng.splitmix64 in
+  let feed acc v = mix (Int64.add acc (Int64.of_int v)) in
+  let feed_tips acc tips =
+    Array.fold_left
+      (fun acc (b : Nakamoto_chain.Block.t) ->
+        mix (Int64.add acc (Nakamoto_chain.Hash.to_int64 b.hash)))
+      (feed acc (Array.length tips))
+      tips
+  in
+  let acc =
+    List.fold_left
+      (fun acc (s : Sim.Execution.snapshot) -> feed_tips (feed acc s.round) s.tips)
+      (mix 0x9e3779b97f4a7c15L) r.snapshots
+  in
+  List.fold_left feed
+    (feed_tips (feed acc (List.length r.snapshots)) r.final_tips)
+    [
+      r.convergence_opportunities;
+      r.adversary_blocks;
+      r.honest_blocks;
+      r.h_rounds;
+      r.h1_rounds;
+      r.max_reorg_depth;
+      r.adversary_releases;
+      r.messages_sent;
+      r.orphans_remaining;
+      r.processed_rounds;
+    ]
+
+let test_result_golden () =
+  let idle, selfish, private_chain = golden_scenarios () in
+  let aggregate = with_mode Sim.Config.Aggregate in
+  let skip = with_mode Sim.Config.Skip in
+  check_pins result_digest
+    [
+      ("idle aggregate", aggregate idle, 8321555139912467234L);
+      ("idle skip", skip idle, 1033028256651644057L);
+      ("selfish aggregate", aggregate selfish, 8791730446381195920L);
+      ("selfish skip", skip selfish, -3749187054357355871L);
+      ("private-chain aggregate", aggregate private_chain, 3483493656048480405L);
+      ("private-chain skip", skip private_chain, 681970584116293933L);
+    ]
 
 let test_summarize () =
   let t = Trace.create () in
@@ -166,6 +229,7 @@ let suite =
     case "capture determinism" test_capture_deterministic;
     case "capture matches execution result" test_capture_matches_result;
     case "digest basics" test_digest_basics;
-    case "digest goldens (exact and aggregate)" test_digest_golden;
+    case "digest goldens (exact and fast modes)" test_digest_golden;
+    case "result goldens (aggregate and skip)" test_result_golden;
     case "summarize" test_summarize;
   ]
