@@ -67,23 +67,29 @@ let run ~addr ?(connect_timeout = 10.) ?(lease_batch = 1) ?fault
              Tel.Registry.Snapshot.entries (Tel.Registry.snapshot sreg);
          })
   in
+  (* The daemon served its campaigns and closed up: normal exit. *)
+  let closed () =
+    log (Printf.sprintf "coordinator closed; %d shards computed" !computed)
+  in
   let rec loop () =
-    Msg.send ch (Msg.Lease_request { max = lease_batch });
-    match recv () with
-    | `Msg (Msg.Lease_grant { grants; spec }) ->
-      let spec, cells = cells_of spec in
-      List.iter (compute spec cells) grants;
-      loop ()
-    | `Msg (Msg.No_work { retry_after }) ->
-      Unix.sleepf (Float.max 0.01 retry_after);
-      loop ()
-    | `Msg (Msg.Error e) -> failwith ("server error: " ^ e)
-    | `Msg _ -> failwith "unexpected message from the coordinator"
-    | `Timeout -> loop ()
-    | `Eof ->
-      (* The daemon served its campaigns and closed up: normal exit. *)
-      log (Printf.sprintf "coordinator closed; %d shards computed" !computed)
-    | `Bad m -> failwith ("protocol error: " ^ m)
+    match Msg.send ch (Msg.Lease_request { max = lease_batch }) with
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+      (* It closed between this worker's last frame and this request. *)
+      closed ()
+    | () -> (
+      match recv () with
+      | `Msg (Msg.Lease_grant { grants; spec }) ->
+        let spec, cells = cells_of spec in
+        List.iter (compute spec cells) grants;
+        loop ()
+      | `Msg (Msg.No_work { retry_after }) ->
+        Unix.sleepf (Float.max 0.01 retry_after);
+        loop ()
+      | `Msg (Msg.Error e) -> failwith ("server error: " ^ e)
+      | `Msg _ -> failwith "unexpected message from the coordinator"
+      | `Timeout -> loop ()
+      | `Eof -> closed ()
+      | `Bad m -> failwith ("protocol error: " ^ m))
   in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())

@@ -2,16 +2,15 @@ type mining_mode = Exact | Aggregate | Skip
 
 exception Incompatible of { mode : mining_mode; reason : string }
 
+let mode_name = function
+  | Exact -> "exact"
+  | Aggregate -> "aggregate"
+  | Skip -> "skip"
+
 let () =
   Printexc.register_printer (function
     | Incompatible { mode; reason } ->
-      let mode_name =
-        match mode with
-        | Exact -> "exact"
-        | Aggregate -> "aggregate"
-        | Skip -> "skip"
-      in
-      Some (Printf.sprintf "Config.Incompatible(%s): %s" mode_name reason)
+      Some (Printf.sprintf "Config.Incompatible(%s): %s" (mode_name mode) reason)
     | _ -> None)
 
 type t = {
@@ -48,13 +47,14 @@ let validate t =
   | Adversary.Idle | Adversary.Private_chain _ | Adversary.Balance _
   | Adversary.Selfish_mining ->
     ());
-  (* Skip mode samples the gap to the next block-bearing round and
-     fast-forwards everything in between, so per-round adversarial delay
-     choices ([Uniform_random], [Per_recipient]) have no round to inspect.
-     Reject the combination here, typed, instead of silently degrading. *)
+  (* Both fast modes route broadcasts through the network's shared Δ-ring
+     lane, where every recipient sees one delay, and Skip also
+     fast-forwards the rounds in between; per-recipient delay choices
+     ([Uniform_random], [Per_recipient]) fit neither.  Reject the
+     combination here, typed, instead of silently degrading. *)
   match t.mining_mode with
-  | Exact | Aggregate -> ()
-  | Skip -> (
+  | Exact -> ()
+  | (Aggregate | Skip) as mode -> (
     let policy =
       match t.delay_override with
       | Some policy -> policy
@@ -71,11 +71,12 @@ let validate t =
       raise
         (Incompatible
            {
-             mode = Skip;
+             mode;
              reason =
-               "Skip mining requires a recipient-independent delay policy \
-                (Immediate, Fixed or Maximal); the effective policy needs \
-                per-round inspection";
+               String.capitalize_ascii (mode_name mode)
+               ^ " mining requires a recipient-independent delay policy \
+                  (Immediate, Fixed or Maximal); the effective policy needs \
+                  per-round inspection";
            }))
 
 let c t = 1. /. (t.p *. float_of_int t.n *. float_of_int t.delta)

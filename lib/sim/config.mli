@@ -11,34 +11,35 @@ type mining_mode =
           adversary queries, every message enqueued per recipient —
           bit-for-bit the historical executor, and the default *)
   | Aggregate
-      (** the paper-scale fast path: per-round block counts are drawn
-          from the same binomial laws the queries realize (honest
-          winners chosen by partial Fisher–Yates, so the round outcome
-          is distribution-identical), broadcasts ride the shared Δ-ring
-          lane, and only miners whose view ever diverges from the crowd
-          (winners and direct-send recipients) are materialized.  Round
-          cost is O(blocks mined + messages due) instead of O(n).
-          Requires a recipient-independent delay policy ([Immediate],
-          [Fixed] or [Maximal]) *)
+      (** the paper-scale fast path: the crowd core simulates every
+          round.  Per-round block counts are drawn from the same binomial
+          laws the queries realize (honest winners chosen by partial
+          Fisher–Yates, so the round outcome is distribution-identical),
+          broadcasts ride the shared Δ-ring lane, and only miners whose
+          view ever diverges from the crowd (winners and direct-send
+          recipients) are materialized.  Round cost is O(blocks mined +
+          messages due) instead of O(n).  Requires a recipient-independent
+          delay policy ([Immediate], [Fixed] or [Maximal]), enforced as a
+          typed {!Incompatible} error at {!validate} time *)
   | Skip
-      (** the O(events) path on top of [Aggregate]: the executor never
-          iterates empty rounds.  It samples the gap to the next
-          block-bearing round from Geometric(1 - (1-p)^(honest + adv))
-          jointly with the conditional success counts, fast-forwards the
-          Δ-ring, the adversary and the convergence pattern across the
-          span in O(1), and simulates only rounds where blocks appear or
-          deliveries fall due.  Distribution-identical to [Aggregate]
-          (not bit-identical: the RNG is consumed per event, not per
-          round); [on_round] fires only for simulated rounds.  Same
-          delay-policy restriction as [Aggregate], enforced as a typed
-          {!Incompatible} error at {!validate} time *)
+      (** the O(events) path: the same crowd core as [Aggregate] with a
+          driver that never iterates empty rounds.  It samples the gap to
+          the next block-bearing round from
+          Geometric(1 - (1-p)^(honest + adv)) jointly with the
+          conditional success counts, fast-forwards the adversary and the
+          convergence pattern across the span in O(1), and simulates only
+          rounds where blocks appear or deliveries fall due.
+          Distribution-identical to [Aggregate] (not bit-identical: the
+          RNG is consumed per event, not per round); [on_round] fires
+          only for simulated rounds.  Same delay-policy restriction and
+          typed error as [Aggregate] *)
 
 exception Incompatible of { mode : mining_mode; reason : string }
 (** Raised by {!validate} when a mining mode cannot faithfully execute
     the configuration (rather than silently degrading) — currently
-    [Skip] with a delay policy that needs per-round inspection
-    ([Uniform_random] or [Per_recipient], whether from [delay_override]
-    or the strategy's default, e.g. [Balance]). *)
+    [Aggregate] or [Skip] with a delay policy that depends on the
+    recipient ([Uniform_random] or [Per_recipient], whether from
+    [delay_override] or the strategy's default, e.g. [Balance]). *)
 
 type t = {
   n : int;  (** total miners; the paper requires [n >= 4] *)

@@ -110,9 +110,9 @@ let phase_stop instr span =
   | Some i -> Tel.Span.stop (span i) i.phase_started
 
 (* A convergence opportunity completed: record the gap since the previous
-   one.  [conv_round] is the true completion round — for the per-round
-   executors that is the round being observed, but skip mode can complete
-   an opportunity strictly inside a fast-forwarded span. *)
+   one.  [conv_round] is the true completion round — the round being
+   observed for a per-round step, but skip mode can complete an
+   opportunity strictly inside a fast-forwarded span. *)
 let note_convergence i ~conv_count ~conv_round =
   if conv_count > i.last_conv_count then begin
     if i.last_conv_round > 0 then
@@ -125,8 +125,8 @@ let note_convergence i ~conv_count ~conv_round =
 (* End-of-round bookkeeping shared by the executors; [releases] is the
    round's release list (burst sizes), the rest are this round's already
    computed statistics. *)
-let observe_round ?conv_round instr ~round ~h ~successes ~releases
-    ~round_reorg ~best_height ~conv_count =
+let observe_round instr ~round ~h ~successes ~releases ~round_reorg
+    ~best_height ~conv_count ~conv_round =
   match instr with
   | None -> ()
   | Some i ->
@@ -149,12 +149,187 @@ let observe_round ?conv_round instr ~round ~h ~successes ~releases
           (float_of_int (round - i.last_block_round));
       i.last_block_round <- round
     end;
-    note_convergence i ~conv_count
-      ~conv_round:(Option.value conv_round ~default:round);
+    note_convergence i ~conv_count ~conv_round;
     if best_height > i.last_best_height then begin
       Tel.Counter.add i.i_height_growth (best_height - i.last_best_height);
       i.last_best_height <- best_height
     end
+
+(* ------------------------------------------------------------------ *)
+(* What every executor shares: the RNG stream layout, the adversary, the
+   network, the convergence pattern, the running counters, reorg
+   tracking, per-round reporting, the snapshot cadence, quiescence and
+   result assembly.  The executors differ only in how a round's blocks
+   are mined and its releases routed.                                   *)
+(* ------------------------------------------------------------------ *)
+
+type run_state = {
+  config : Config.t;
+  rng : Rng.t;
+  oracle_seed : int64;
+  adversary : Adversary.t;
+  network : Network.t;
+  pattern : Pattern.t;
+  on_round : (round_report -> unit) option;
+  instr : instruments option;
+  mutable snapshots : snapshot list;
+  mutable next_snap : int;  (** the first cadence round not yet recorded *)
+  mutable honest_blocks : int;
+  mutable adversary_blocks : int;
+  mutable h_rounds : int;
+  mutable h1_rounds : int;
+  mutable max_reorg : int;
+  mutable processed : int;
+}
+
+let setup ~on_round ~instr config =
+  let honest_count = Config.honest_count config in
+  let rng = Rng.create ~seed:config.seed in
+  (* Every mode draws the oracle seed and then splits off the network
+     stream, so the modes draw from decorrelated streams per seed. *)
+  let oracle_seed = Rng.bits64 rng in
+  let net_rng = Rng.split rng in
+  let adversary = Adversary.create ~strategy:config.strategy ~honest_count in
+  let policy =
+    match config.delay_override with
+    | Some policy -> policy
+    | None ->
+      Adversary.delay_policy_for config.strategy ~delta:config.delta
+        ~honest_count
+  in
+  {
+    config;
+    rng;
+    oracle_seed;
+    adversary;
+    network =
+      Network.create ~delta:config.delta ~players:honest_count ~policy
+        ~rng:net_rng;
+    pattern = Pattern.create ~delta:config.delta;
+    on_round;
+    instr;
+    snapshots = [];
+    next_snap = config.snapshot_interval;
+    honest_blocks = 0;
+    adversary_blocks = 0;
+    h_rounds = 0;
+    h1_rounds = 0;
+    max_reorg = 0;
+    processed = 0;
+  }
+
+let blocks_of messages =
+  List.concat_map (fun (m : Network.message) -> m.blocks) messages
+
+(* Hand [blocks] to [miner], tracking how deep it had to roll back its
+   chain: into the round's deepest ([round_reorg], when tracked) and the
+   run's. *)
+let receive_tracked st miner blocks ~round ~round_reorg =
+  if blocks <> [] then begin
+    let old_tip = Miner.best_tip miner in
+    Miner.receive miner blocks;
+    let new_tip = Miner.best_tip miner in
+    if not (Block.equal old_tip new_tip) then begin
+      let meet =
+        Block_tree.common_prefix_height (Adversary.view st.adversary) old_tip
+          new_tip
+      in
+      let rolled_back = old_tip.Block.height - meet in
+      (match round_reorg with
+      | Some cell -> if rolled_back > !cell then cell := rolled_back
+      | None -> ());
+      if rolled_back > 2 then
+        Log.debug (fun m ->
+            m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
+              (Miner.id miner) rolled_back old_tip.Block.height
+              new_tip.Block.height);
+      if rolled_back > st.max_reorg then st.max_reorg <- rolled_back
+    end
+  end
+
+(* Snapshot cadence: every [snapshot_interval]-th round, plus the horizon.
+   A cadence round is recorded once the run has moved past it, from the
+   tips as they stood at its end — for a round inside a skipped span that
+   is the state after the last simulated round. *)
+let take_snapshot st ~tips round =
+  st.snapshots <- { round; tips = tips () } :: st.snapshots
+
+let snapshots_through st ~tips round =
+  while st.next_snap <= round do
+    take_snapshot st ~tips st.next_snap;
+    st.next_snap <- st.next_snap + st.config.snapshot_interval
+  done
+
+let note_mined st ~h mined =
+  st.honest_blocks <- st.honest_blocks + h;
+  if h > 0 then st.h_rounds <- st.h_rounds + 1;
+  if h = 1 then st.h1_rounds <- st.h1_rounds + 1;
+  Pattern.observe st.pattern (Round_state.of_block_count h);
+  Adversary.observe st.adversary mined
+
+(* The adversary spends its [successes]; the caller routes the releases. *)
+let adversary_act st ~round ~successes =
+  st.adversary_blocks <- st.adversary_blocks + successes;
+  let releases = Adversary.act st.adversary ~round ~successes in
+  if releases <> [] then
+    Log.debug (fun m ->
+        m "round %d: adversary issued %d release(s) (%d successes this round)"
+          round (List.length releases) successes);
+  releases
+
+(* Report a finished round to [on_round] and the telemetry handle;
+   [best_height] is only computed when one of them listens. *)
+let end_round st ~round ~h ~successes ~releases ~round_reorg ~best_height =
+  st.processed <- st.processed + 1;
+  if Option.is_some st.on_round || Option.is_some st.instr then begin
+    let best_height = best_height () in
+    (match st.on_round with
+    | None -> ()
+    | Some report ->
+      report
+        {
+          round_number = round;
+          honest_mined = h;
+          adversary_successes = successes;
+          releases_issued = List.length releases;
+          best_height;
+          reorg_depth = round_reorg;
+        });
+    observe_round st.instr ~round ~h ~successes ~releases ~round_reorg
+      ~best_height
+      ~conv_count:(Pattern.count st.pattern)
+      ~conv_round:(Pattern.last_count_round st.pattern)
+  end
+
+(* Record the remaining snapshots, then quiesce: deliver the messages
+   still in flight (at most delta rounds' worth).  Without this, an
+   adversary that reorders heavily can leave a child block delivered but
+   its parent still in transit at the cutoff, stranding orphans that the
+   model says must connect. *)
+let finish st ~deliver_round ~tips ~orphans =
+  let horizon = st.config.rounds in
+  snapshots_through st ~tips horizon;
+  let last = match st.snapshots with { round; _ } :: _ -> round | [] -> 0 in
+  if last <> horizon then take_snapshot st ~tips horizon;
+  for round = horizon + 1 to horizon + st.config.delta do
+    deliver_round round ~round_reorg:None
+  done;
+  {
+    config = st.config;
+    snapshots = List.rev st.snapshots;
+    god_view = Adversary.view st.adversary;
+    final_tips = tips ();
+    convergence_opportunities = Pattern.count st.pattern;
+    adversary_blocks = st.adversary_blocks;
+    honest_blocks = st.honest_blocks;
+    h_rounds = st.h_rounds;
+    h1_rounds = st.h1_rounds;
+    max_reorg_depth = st.max_reorg;
+    adversary_releases = Adversary.reorgs_caused st.adversary;
+    messages_sent = Network.messages_sent st.network;
+    orphans_remaining = orphans ();
+    processed_rounds = st.processed;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Exact mode: one H-query per honest miner per round, nu n sequential
@@ -162,75 +337,33 @@ let observe_round ?conv_round instr ~round ~h ~successes ~releases
    bit-for-bit the historical executor.                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_exact ?on_round ~instr config =
+let run_exact st =
+  let config = st.config in
   let honest_n = Config.honest_count config in
   let adv_n = Config.adversary_count config in
-  let rng = Rng.create ~seed:config.seed in
-  let oracle = Pow.create ~seed:(Rng.bits64 rng) ~p:config.p in
-  let net_rng = Rng.split rng in
-  let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let policy =
-    match config.delay_override with
-    | Some policy -> policy
-    | None ->
-      Adversary.delay_policy_for config.strategy ~delta:config.delta
-        ~honest_count:honest_n
-  in
-  let network =
-    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
-  in
+  let oracle = Pow.create ~seed:st.oracle_seed ~p:config.p in
   let miners =
     Array.init honest_n (fun id -> Miner.create ~tie_break:config.tie_break ~id ())
   in
-  let pattern = Pattern.create ~delta:config.delta in
-  let god = Adversary.view adversary in
-  let snapshots = ref [] in
-  let honest_blocks = ref 0 in
-  let adversary_blocks = ref 0 in
-  let h_rounds = ref 0 in
-  let h1_rounds = ref 0 in
-  let max_reorg = ref 0 in
-  let take_snapshot round =
-    snapshots :=
-      { round; tips = Array.map Miner.best_tip miners } :: !snapshots
-  in
-  (* Drain one round of deliveries for every miner, tracking how deep any
-     of them had to roll back its chain. *)
-  let deliver_round round ~track_round_reorg =
+  let tips () = Array.map Miner.best_tip miners in
+  let deliver_round round ~round_reorg =
     Array.iter
       (fun miner ->
-        let inbox = Network.deliver network ~recipient:(Miner.id miner) ~round in
-        if inbox <> [] then begin
-          let old_tip = Miner.best_tip miner in
-          Miner.receive miner
-            (List.concat_map (fun (m : Network.message) -> m.blocks) inbox);
-          let new_tip = Miner.best_tip miner in
-          if not (Block.equal old_tip new_tip) then begin
-            let meet = Block_tree.common_prefix_height god old_tip new_tip in
-            let rolled_back = old_tip.Block.height - meet in
-            (match track_round_reorg with
-            | Some cell -> if rolled_back > !cell then cell := rolled_back
-            | None -> ());
-            if rolled_back > 2 then
-              Log.debug (fun m ->
-                  m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
-                    (Miner.id miner) rolled_back old_tip.Block.height
-                    new_tip.Block.height);
-            if rolled_back > !max_reorg then max_reorg := rolled_back
-          end
-        end)
+        let inbox = Network.deliver st.network ~recipient:(Miner.id miner) ~round in
+        receive_tracked st miner (blocks_of inbox) ~round ~round_reorg)
       miners
   in
   for round = 1 to config.rounds do
+    snapshots_through st ~tips (round - 1);
     let round_reorg = ref 0 in
     (* Phase 1: delivery.  Record reorg depth when a miner abandons part of
        its previously-best chain. *)
-    phase_start instr (fun i -> i.sp_delivery);
-    deliver_round round ~track_round_reorg:(Some round_reorg);
-    phase_stop instr (fun i -> i.sp_delivery);
+    phase_start st.instr (fun i -> i.sp_delivery);
+    deliver_round round ~round_reorg:(Some round_reorg);
+    phase_stop st.instr (fun i -> i.sp_delivery);
     (* Phase 2: honest mining — one parallel H-query each (Section III's
        oracle: the query digests the miner's current parent). *)
-    phase_start instr (fun i -> i.sp_mining);
+    phase_start st.instr (fun i -> i.sp_mining);
     let mined_this_round = ref [] in
     Array.iter
       (fun miner ->
@@ -242,34 +375,25 @@ let run_exact ?on_round ~instr config =
         | Some _proof ->
           let block = Miner.extend_tip miner ~round ~nonce:(Miner.id miner) in
           mined_this_round := block :: !mined_this_round;
-          Network.broadcast network
+          Network.broadcast st.network
             { Network.sender = Miner.id miner; sent_round = round; blocks = [ block ] })
       miners;
     let h = List.length !mined_this_round in
-    phase_stop instr (fun i -> i.sp_mining);
-    honest_blocks := !honest_blocks + h;
-    if h > 0 then incr h_rounds;
-    if h = 1 then incr h1_rounds;
-    Pattern.observe pattern (Round_state.of_block_count h);
-    Adversary.observe adversary !mined_this_round;
+    phase_stop st.instr (fun i -> i.sp_mining);
+    note_mined st ~h !mined_this_round;
     (* Phase 3: the adversary's q = nu n sequential H-queries on its
        strategy-chosen tip, then releases. *)
-    phase_start instr (fun i -> i.sp_adversary);
+    phase_start st.instr (fun i -> i.sp_adversary);
     let successes =
       Pow.successes oracle
-        ~parent:(Adversary.private_tip adversary).Block.hash ~miner:(-1)
+        ~parent:(Adversary.private_tip st.adversary).Block.hash ~miner:(-1)
         ~round ~queries:adv_n
     in
-    adversary_blocks := !adversary_blocks + successes;
-    let releases = Adversary.act adversary ~round ~successes in
-    if releases <> [] then
-      Log.debug (fun m ->
-          m "round %d: adversary issued %d release(s) (%d successes this round)"
-            round (List.length releases) successes);
+    let releases = adversary_act st ~round ~successes in
     List.iter
       (fun { Adversary.audience; delay; blocks } ->
         let send recipient =
-          Network.send_direct network ~recipient ~delay
+          Network.send_direct st.network ~recipient ~delay
             { Network.sender = -1; sent_round = round; blocks }
         in
         match audience with
@@ -279,68 +403,26 @@ let run_exact ?on_round ~instr config =
           done
         | Adversary.Only recipients -> List.iter send recipients)
       releases;
-    phase_stop instr (fun i -> i.sp_adversary);
-    if Option.is_some on_round || Option.is_some instr then begin
-      let best_height =
-        Array.fold_left
-          (fun acc m -> max acc (Miner.chain_length m))
-          0 miners
-      in
-      (match on_round with
-      | None -> ()
-      | Some report ->
-        report
-          {
-            round_number = round;
-            honest_mined = h;
-            adversary_successes = successes;
-            releases_issued = List.length releases;
-            best_height;
-            reorg_depth = !round_reorg;
-          });
-      observe_round instr ~round ~h ~successes ~releases
-        ~round_reorg:!round_reorg ~best_height
-        ~conv_count:(Pattern.count pattern)
-    end;
-    if round mod config.snapshot_interval = 0 || round = config.rounds then
-      take_snapshot round
+    phase_stop st.instr (fun i -> i.sp_adversary);
+    end_round st ~round ~h ~successes ~releases ~round_reorg:!round_reorg
+      ~best_height:(fun () ->
+        Array.fold_left (fun acc m -> max acc (Miner.chain_length m)) 0 miners)
   done;
-  (* Quiesce: deliver the messages still in flight (at most delta rounds'
-     worth).  Without this, an adversary that reorders heavily can leave a
-     child block delivered but its parent still in transit at the cutoff,
-     stranding orphans that the model says must connect. *)
-  for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~track_round_reorg:None
-  done;
-  {
-    config;
-    snapshots = List.rev !snapshots;
-    god_view = god;
-    final_tips = Array.map Miner.best_tip miners;
-    convergence_opportunities = Pattern.count pattern;
-    adversary_blocks = !adversary_blocks;
-    honest_blocks = !honest_blocks;
-    h_rounds = !h_rounds;
-    h1_rounds = !h1_rounds;
-    max_reorg_depth = !max_reorg;
-    adversary_releases = Adversary.reorgs_caused adversary;
-    messages_sent = Network.messages_sent network;
-    orphans_remaining =
-      Array.fold_left (fun acc m -> acc + Miner.orphan_count m) 0 miners;
-    processed_rounds = config.rounds;
-  }
+  finish st ~deliver_round ~tips ~orphans:(fun () ->
+      Array.fold_left (fun acc m -> acc + Miner.orphan_count m) 0 miners)
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate mode: the paper-scale fast path.
+(* The crowd core behind Aggregate and Skip: the paper-scale fast path.
 
-   Per-round cost is O(blocks mined + messages due) instead of O(n):
+   Per simulated round the cost is O(blocks mined + messages due)
+   instead of O(n):
 
-   - The number of honest winners is drawn from binom(mu n, p) (the exact
-     law realized by mu n independent H-queries) and *which* miners won is
-     a partial Fisher-Yates draw over the honest ids — round outcomes are
-     distribution-identical to exact mode, though not bit-identical.
-   - The adversary's nu n sequential queries collapse to one
-     binom(nu n, p) draw (their count is all Adversary.act consumes).
+   - The round's honest and adversarial success counts are drawn from
+     the binomial laws the queries realize (see the drivers below), and
+     *which* honest miners won is a partial Fisher-Yates draw over the
+     honest ids — round outcomes are distribution-identical to exact
+     mode, though not bit-identical.  Only the adversary's count reaches
+     its strategy, so its nu n sequential queries collapse to one draw.
    - Broadcasts ride the network's shared Δ-ring lane (O(1) per
      broadcast); every miner whose view never diverges from that shared
      stream is represented by one "crowd" view.  A miner is materialized
@@ -359,37 +441,20 @@ let run_exact ?on_round ~instr config =
    crowd retires — it stops consuming the shared stream and drops out of
    reorg and orphan accounting.  A retired crowd would otherwise keep
    receiving ring blocks whose direct-sent parents it never saw and report
-   phantom orphans no real miner holds. *)
+   phantom orphans no real miner holds.
+
+   The two modes differ in one decision, passed in as [drive]: which
+   round to simulate next and how its counts are drawn.  A driver calls
+   [step_round ~round ~h ~successes] for every simulated round, in
+   increasing order; [successes] is forced after the winners are drawn,
+   so a driver can keep the adversary's draw behind them in its RNG
+   stream. *)
 (* ------------------------------------------------------------------ *)
 
-let run_aggregate ?on_round ~instr config =
+let run_crowd st ~drive =
+  let config = st.config in
   let honest_n = Config.honest_count config in
-  let adv_n = Config.adversary_count config in
-  let rng = Rng.create ~seed:config.seed in
-  (* Keep the stream layout of exact mode (oracle seed, then the network
-     split) so the two modes draw from decorrelated streams per seed. *)
-  let _oracle_seed = Rng.bits64 rng in
-  let net_rng = Rng.split rng in
-  let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let policy =
-    match config.delay_override with
-    | Some policy -> policy
-    | None ->
-      Adversary.delay_policy_for config.strategy ~delta:config.delta
-        ~honest_count:honest_n
-  in
-  (match policy with
-  | Network.Immediate | Network.Fixed _ | Network.Maximal -> ()
-  | Network.Uniform_random | Network.Per_recipient _ ->
-    invalid_arg
-      "Execution.run: Aggregate mining requires a recipient-independent \
-       delay policy (Immediate, Fixed or Maximal)");
-  let network =
-    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
-  in
-  Network.enable_ring network;
-  let honest_dist = Binomial.create ~trials:honest_n ~p:config.p in
-  let adv_dist = Binomial.create ~trials:adv_n ~p:config.p in
+  Network.enable_ring st.network;
   (* The crowd: the one view shared by every miner never touched
      individually.  Its id is never a message sender, so it consumes the
      whole shared stream. *)
@@ -399,44 +464,13 @@ let run_aggregate ?on_round ~instr config =
      Each round's partial Fisher-Yates prefix is uniform over k-subsets
      regardless of the permutation it starts from. *)
   let pool = Array.init honest_n Fun.id in
-  let pattern = Pattern.create ~delta:config.delta in
-  let god = Adversary.view adversary in
-  let snapshots = ref [] in
-  let honest_blocks = ref 0 in
-  let adversary_blocks = ref 0 in
-  let h_rounds = ref 0 in
-  let h1_rounds = ref 0 in
-  let max_reorg = ref 0 in
-  let receive_tracked miner blocks ~round ~track_round_reorg =
-    if blocks <> [] then begin
-      let old_tip = Miner.best_tip miner in
-      Miner.receive miner blocks;
-      let new_tip = Miner.best_tip miner in
-      if not (Block.equal old_tip new_tip) then begin
-        let meet = Block_tree.common_prefix_height god old_tip new_tip in
-        let rolled_back = old_tip.Block.height - meet in
-        (match track_round_reorg with
-        | Some cell -> if rolled_back > !cell then cell := rolled_back
-        | None -> ());
-        if rolled_back > 2 then
-          Log.debug (fun m ->
-              m "round %d: miner %d rolled back %d blocks (%d -> %d)" round
-                (Miner.id miner) rolled_back old_tip.Block.height
-                new_tip.Block.height);
-        if rolled_back > !max_reorg then max_reorg := rolled_back
-      end
-    end
-  in
   (* The crowd is live while it still stands for at least one untouched
      miner; materialization is monotone, so once this flips it stays. *)
   let crowd_live () = Hashtbl.length materialized < honest_n in
-  let deliver_round round ~track_round_reorg =
-    let shared = Network.deliver_shared network ~round in
-    let shared_blocks =
-      List.concat_map (fun (m : Network.message) -> m.blocks) shared
-    in
+  let deliver_round round ~round_reorg =
+    let shared = Network.deliver_shared st.network ~round in
     if crowd_live () then
-      receive_tracked crowd shared_blocks ~round ~track_round_reorg;
+      receive_tracked st crowd (blocks_of shared) ~round ~round_reorg;
     Hashtbl.iter
       (fun id miner ->
         let own_filtered =
@@ -447,12 +481,10 @@ let run_aggregate ?on_round ~instr config =
                 if m.sender = id then [] else m.blocks)
               shared
         in
-        let direct = Network.deliver network ~recipient:id ~round in
-        let blocks =
-          own_filtered
-          @ List.concat_map (fun (m : Network.message) -> m.blocks) direct
-        in
-        receive_tracked miner blocks ~round ~track_round_reorg)
+        let direct = Network.deliver st.network ~recipient:id ~round in
+        receive_tracked st miner
+          (own_filtered @ blocks_of direct)
+          ~round ~round_reorg)
       materialized
   in
   let materialize id =
@@ -468,113 +500,81 @@ let run_aggregate ?on_round ~instr config =
     | Some miner -> Miner.best_tip miner
     | None -> Miner.best_tip crowd
   in
-  let take_snapshot round =
-    snapshots := { round; tips = Array.init honest_n tip_of } :: !snapshots
+  let tips () = Array.init honest_n tip_of in
+  let best_height () =
+    Hashtbl.fold
+      (fun _ m acc -> max acc (Miner.chain_length m))
+      materialized
+      (Miner.chain_length crowd)
   in
-  for round = 1 to config.rounds do
+  let step_round ~round ~h ~successes =
+    snapshots_through st ~tips (round - 1);
     let round_reorg = ref 0 in
     (* Phase 1: delivery — the shared ring stream to the crowd and every
        materialized miner, plus per-miner direct queues. *)
-    phase_start instr (fun i -> i.sp_delivery);
-    deliver_round round ~track_round_reorg:(Some round_reorg);
-    phase_stop instr (fun i -> i.sp_delivery);
-    (* Phase 2: honest mining — one binomial draw for how many of the mu n
-       parallel H-queries won, a partial Fisher-Yates draw for which. *)
-    phase_start instr (fun i -> i.sp_mining);
-    let h = Binomial.sample rng honest_dist in
+    phase_start st.instr (fun i -> i.sp_delivery);
+    deliver_round round ~round_reorg:(Some round_reorg);
+    phase_stop st.instr (fun i -> i.sp_delivery);
+    (* Phase 2: honest mining — [h] winners by partial Fisher-Yates. *)
+    phase_start st.instr (fun i -> i.sp_mining);
     let mined_this_round = ref [] in
     for i = 0 to h - 1 do
-      let j = i + Rng.int rng ~bound:(honest_n - i) in
+      let j = i + Rng.int st.rng ~bound:(honest_n - i) in
       let winner = pool.(j) in
       pool.(j) <- pool.(i);
       pool.(i) <- winner;
       let miner = materialize winner in
       let block = Miner.extend_tip miner ~round ~nonce:winner in
       mined_this_round := block :: !mined_this_round;
-      Network.broadcast network
+      Network.broadcast st.network
         { Network.sender = winner; sent_round = round; blocks = [ block ] }
     done;
-    phase_stop instr (fun i -> i.sp_mining);
-    honest_blocks := !honest_blocks + h;
-    if h > 0 then incr h_rounds;
-    if h = 1 then incr h1_rounds;
-    Pattern.observe pattern (Round_state.of_block_count h);
-    Adversary.observe adversary !mined_this_round;
-    (* Phase 3: the adversary's nu n sequential queries, as one binomial
-       draw (only the count reaches the strategy), then releases. *)
-    phase_start instr (fun i -> i.sp_adversary);
-    let successes = Binomial.sample rng adv_dist in
-    adversary_blocks := !adversary_blocks + successes;
-    let releases = Adversary.act adversary ~round ~successes in
-    if releases <> [] then
-      Log.debug (fun m ->
-          m "round %d: adversary issued %d release(s) (%d successes this round)"
-            round (List.length releases) successes);
+    phase_stop st.instr (fun i -> i.sp_mining);
+    note_mined st ~h !mined_this_round;
+    (* Phase 3: the adversary's successes, then releases. *)
+    phase_start st.instr (fun i -> i.sp_adversary);
+    let successes = successes () in
+    let releases = adversary_act st ~round ~successes in
     List.iter
       (fun { Adversary.audience; delay; blocks } ->
         let msg = { Network.sender = -1; sent_round = round; blocks } in
         match audience with
-        | Adversary.All_honest -> Network.broadcast_all network ~delay msg
+        | Adversary.All_honest -> Network.broadcast_all st.network ~delay msg
         | Adversary.Only recipients ->
           List.iter
             (fun recipient ->
               ignore (materialize recipient);
-              Network.send_direct network ~recipient ~delay msg)
+              Network.send_direct st.network ~recipient ~delay msg)
             recipients)
       releases;
-    phase_stop instr (fun i -> i.sp_adversary);
-    if Option.is_some on_round || Option.is_some instr then begin
-      let best_height =
-        Hashtbl.fold
-          (fun _ m acc -> max acc (Miner.chain_length m))
-          materialized
-          (Miner.chain_length crowd)
-      in
-      (match on_round with
-      | None -> ()
-      | Some report ->
-        report
-          {
-            round_number = round;
-            honest_mined = h;
-            adversary_successes = successes;
-            releases_issued = List.length releases;
-            best_height;
-            reorg_depth = !round_reorg;
-          });
-      observe_round instr ~round ~h ~successes ~releases
-        ~round_reorg:!round_reorg ~best_height
-        ~conv_count:(Pattern.count pattern)
-    end;
-    if round mod config.snapshot_interval = 0 || round = config.rounds then
-      take_snapshot round
-  done;
-  for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~track_round_reorg:None
-  done;
-  {
-    config;
-    snapshots = List.rev !snapshots;
-    god_view = god;
-    final_tips = Array.init honest_n tip_of;
-    convergence_opportunities = Pattern.count pattern;
-    adversary_blocks = !adversary_blocks;
-    honest_blocks = !honest_blocks;
-    h_rounds = !h_rounds;
-    h1_rounds = !h1_rounds;
-    max_reorg_depth = !max_reorg;
-    adversary_releases = Adversary.reorgs_caused adversary;
-    messages_sent = Network.messages_sent network;
-    orphans_remaining =
+    phase_stop st.instr (fun i -> i.sp_adversary);
+    end_round st ~round ~h ~successes ~releases ~round_reorg:!round_reorg
+      ~best_height
+  in
+  drive st ~step_round;
+  finish st ~deliver_round ~tips ~orphans:(fun () ->
       Hashtbl.fold
         (fun _ m acc -> acc + Miner.orphan_count m)
         materialized
-        (if crowd_live () then Miner.orphan_count crowd else 0);
-    processed_rounds = config.rounds;
-  }
+        (if crowd_live () then Miner.orphan_count crowd else 0))
+
+let binomial_laws config =
+  ( Binomial.create ~trials:(Config.honest_count config) ~p:config.Config.p,
+    Binomial.create ~trials:(Config.adversary_count config) ~p:config.p )
+
+(* Aggregate: every round is simulated.  The honest count is one
+   binom(mu n, p) draw, the adversary's one binom(nu n, p) draw taken
+   after the winners. *)
+let every_round st ~step_round =
+  let honest_dist, adv_dist = binomial_laws st.config in
+  let adversary_successes () = Binomial.sample st.rng adv_dist in
+  for round = 1 to st.config.rounds do
+    let h = Binomial.sample st.rng honest_dist in
+    step_round ~round ~h ~successes:adversary_successes
+  done
 
 (* ------------------------------------------------------------------ *)
-(* Skip mode: the O(events) path on top of Aggregate.
+(* Skip: the O(events) driver.
 
    At the paper's operating point c = 1/(p n Delta) almost every round is
    empty — no honest or adversarial success and no delivery due — yet
@@ -607,8 +607,8 @@ let run_aggregate ?on_round ~instr config =
      stands for its mining randomness, Pattern.observe_empty advances
      the convergence detector (reporting a mid-span completion at its
      true round), the adversary is advanced by one verified no-op act,
-     telemetry adds the span to the round counter, and snapshot-cadence
-     rounds inside the span replay the (unchanged) current tips.
+     and telemetry adds the span to the round counter.  Snapshot-cadence
+     rounds inside the span are recorded by the core's lazy cadence.
 
    Because mining is i.i.d. per round, a sampled mining round stays
    valid across intermediate delivery-only rounds (memorylessness); it
@@ -619,111 +619,9 @@ let run_aggregate ?on_round ~instr config =
    from [processed_rounds] vs [config.rounds].                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_skip ?on_round ~instr config =
-  let honest_n = Config.honest_count config in
-  let adv_n = Config.adversary_count config in
-  let rng = Rng.create ~seed:config.seed in
-  (* Keep the stream layout of the other modes (oracle seed, then the
-     network split) so the modes draw from decorrelated streams per seed. *)
-  let _oracle_seed = Rng.bits64 rng in
-  let net_rng = Rng.split rng in
-  let adversary = Adversary.create ~strategy:config.strategy ~honest_count:honest_n in
-  let policy =
-    match config.delay_override with
-    | Some policy -> policy
-    | None ->
-      Adversary.delay_policy_for config.strategy ~delta:config.delta
-        ~honest_count:honest_n
-  in
-  (* Config.validate rejected recipient-dependent policies (typed). *)
-  let network =
-    Network.create ~delta:config.delta ~players:honest_n ~policy ~rng:net_rng
-  in
-  Network.enable_ring network;
-  Network.enable_due_index network;
-  let honest_dist = Binomial.create ~trials:honest_n ~p:config.p in
-  let adv_dist = Binomial.create ~trials:adv_n ~p:config.p in
-  let crowd = Miner.create ~tie_break:config.tie_break ~id:(-1) () in
-  let materialized : (int, Miner.t) Hashtbl.t = Hashtbl.create 64 in
-  let pool = Array.init honest_n Fun.id in
-  let pattern = Pattern.create ~delta:config.delta in
-  let god = Adversary.view adversary in
-  let snapshots = ref [] in
-  let honest_blocks = ref 0 in
-  let adversary_blocks = ref 0 in
-  let h_rounds = ref 0 in
-  let h1_rounds = ref 0 in
-  let max_reorg = ref 0 in
-  let processed = ref 0 in
-  let receive_tracked miner blocks ~track_round_reorg =
-    if blocks <> [] then begin
-      let old_tip = Miner.best_tip miner in
-      Miner.receive miner blocks;
-      let new_tip = Miner.best_tip miner in
-      if not (Block.equal old_tip new_tip) then begin
-        let meet = Block_tree.common_prefix_height god old_tip new_tip in
-        let rolled_back = old_tip.Block.height - meet in
-        (match track_round_reorg with
-        | Some cell -> if rolled_back > !cell then cell := rolled_back
-        | None -> ());
-        if rolled_back > !max_reorg then max_reorg := rolled_back
-      end
-    end
-  in
-  let crowd_live () = Hashtbl.length materialized < honest_n in
-  let deliver_round round ~track_round_reorg =
-    let shared = Network.deliver_shared network ~round in
-    let shared_blocks =
-      List.concat_map (fun (m : Network.message) -> m.blocks) shared
-    in
-    if crowd_live () then
-      receive_tracked crowd shared_blocks ~track_round_reorg;
-    Hashtbl.iter
-      (fun id miner ->
-        let own_filtered =
-          if shared = [] then []
-          else
-            List.concat_map
-              (fun (m : Network.message) ->
-                if m.sender = id then [] else m.blocks)
-              shared
-        in
-        let direct = Network.deliver network ~recipient:id ~round in
-        let blocks =
-          own_filtered
-          @ List.concat_map (fun (m : Network.message) -> m.blocks) direct
-        in
-        receive_tracked miner blocks ~track_round_reorg)
-      materialized
-  in
-  let materialize id =
-    match Hashtbl.find_opt materialized id with
-    | Some miner -> miner
-    | None ->
-      let miner = Miner.clone crowd ~id in
-      Hashtbl.add materialized id miner;
-      miner
-  in
-  let tip_of id =
-    match Hashtbl.find_opt materialized id with
-    | Some miner -> Miner.best_tip miner
-    | None -> Miner.best_tip crowd
-  in
-  let last_snap_round = ref 0 in
-  let take_snapshot round =
-    snapshots := { round; tips = Array.init honest_n tip_of } :: !snapshots;
-    last_snap_round := round
-  in
-  (* Snapshot-cadence rounds inside a skipped span see exactly the state
-     after the last simulated round, so they can be emitted lazily from
-     the current tips. *)
-  let next_snap = ref config.snapshot_interval in
-  let emit_snapshots_through r =
-    while !next_snap <= r do
-      take_snapshot !next_snap;
-      next_snap := !next_snap + config.snapshot_interval
-    done
-  in
+let skip_empty_rounds st ~step_round =
+  Network.enable_due_index st.network;
+  let honest_dist, adv_dist = binomial_laws st.config in
   (* The joint gap law. *)
   let log_q0 =
     Binomial.log_prob_zero honest_dist +. Binomial.log_prob_zero adv_dist
@@ -732,36 +630,37 @@ let run_skip ?on_round ~instr config =
   let p_honest_branch =
     (* P(H > 0 | H + A > 0); pinned to 1 when the adversary has no miners
        so the truncated adversary draw is provably never reached. *)
-    if adv_n = 0 then 1.
+    if Config.adversary_count st.config = 0 then 1.
     else Binomial.prob_positive honest_dist /. one_minus_q0
   in
-  let horizon = config.rounds in
+  let horizon = st.config.rounds in
   let sample_gap () =
     if log_q0 = neg_infinity then 0
     else begin
       (* Inversion: floor (log u / log q0) with u in (0, 1] is
          Geometric(1 - q0) on {0, 1, ...}. *)
-      let u = 1. -. Rng.float rng in
+      let u = 1. -. Rng.float st.rng in
       let g = Float.log u /. log_q0 in
       if g > float_of_int horizon then horizon else int_of_float g
     end
   in
   let sample_event_successes () =
-    if Rng.float rng < p_honest_branch then
-      (Binomial.sample_positive rng honest_dist, Binomial.sample rng adv_dist)
-    else (0, Binomial.sample_positive rng adv_dist)
+    if Rng.float st.rng < p_honest_branch then
+      ( Binomial.sample_positive st.rng honest_dist,
+        Binomial.sample st.rng adv_dist )
+    else (0, Binomial.sample_positive st.rng adv_dist)
   in
   let advance_empty_span ~first ~len =
     if len > 0 then begin
-      Pattern.observe_empty pattern ~rounds:len;
-      Adversary.advance_empty adversary ~round:first ~rounds:len;
-      (match instr with
+      Pattern.observe_empty st.pattern ~rounds:len;
+      Adversary.advance_empty st.adversary ~round:first ~rounds:len;
+      match st.instr with
       | None -> ()
       | Some i ->
         Tel.Counter.add i.i_rounds len;
-        note_convergence i ~conv_count:(Pattern.count pattern)
-          ~conv_round:(Pattern.last_count_round pattern));
-      emit_snapshots_through (first + len - 1)
+        note_convergence i
+          ~conv_count:(Pattern.count st.pattern)
+          ~conv_round:(Pattern.last_count_round st.pattern)
     end
   in
   let cursor = ref 0 in
@@ -781,129 +680,32 @@ let run_skip ?on_round ~instr config =
         r
     in
     let nd =
-      match Network.next_due network ~now:!cursor with
+      match Network.next_due st.network ~now:!cursor with
       | Some d -> d
       | None -> max_int
     in
-    let target = min nm nd in
-    if target > horizon then begin
-      advance_empty_span ~first:(!cursor + 1) ~len:(horizon - !cursor);
-      cursor := horizon
-    end
-    else begin
-      advance_empty_span ~first:(!cursor + 1) ~len:(target - !cursor - 1);
-      let round = target in
-      incr processed;
-      let round_reorg = ref 0 in
-      phase_start instr (fun i -> i.sp_delivery);
-      deliver_round round ~track_round_reorg:(Some round_reorg);
-      phase_stop instr (fun i -> i.sp_delivery);
-      phase_start instr (fun i -> i.sp_mining);
+    let target = min (min nm nd) (horizon + 1) in
+    advance_empty_span ~first:(!cursor + 1) ~len:(target - !cursor - 1);
+    if target <= horizon then begin
+      (* A delivery-only round mines nothing; the sampled mining round
+         keeps its law by memorylessness and is consumed later. *)
       let h, successes =
-        if round = nm then begin
+        if target = nm then begin
           next_mining := None;
           sample_event_successes ()
         end
-        else (0, 0) (* delivery-only round; the sampled mining round keeps *)
-        (* its law by memorylessness and is consumed later. *)
+        else (0, 0)
       in
-      let mined_this_round = ref [] in
-      for i = 0 to h - 1 do
-        let j = i + Rng.int rng ~bound:(honest_n - i) in
-        let winner = pool.(j) in
-        pool.(j) <- pool.(i);
-        pool.(i) <- winner;
-        let miner = materialize winner in
-        let block = Miner.extend_tip miner ~round ~nonce:winner in
-        mined_this_round := block :: !mined_this_round;
-        Network.broadcast network
-          { Network.sender = winner; sent_round = round; blocks = [ block ] }
-      done;
-      phase_stop instr (fun i -> i.sp_mining);
-      honest_blocks := !honest_blocks + h;
-      if h > 0 then incr h_rounds;
-      if h = 1 then incr h1_rounds;
-      Pattern.observe pattern (Round_state.of_block_count h);
-      Adversary.observe adversary !mined_this_round;
-      phase_start instr (fun i -> i.sp_adversary);
-      adversary_blocks := !adversary_blocks + successes;
-      let releases = Adversary.act adversary ~round ~successes in
-      if releases <> [] then
-        Log.debug (fun m ->
-            m "round %d: adversary issued %d release(s) (%d successes this round)"
-              round (List.length releases) successes);
-      List.iter
-        (fun { Adversary.audience; delay; blocks } ->
-          let msg = { Network.sender = -1; sent_round = round; blocks } in
-          match audience with
-          | Adversary.All_honest -> Network.broadcast_all network ~delay msg
-          | Adversary.Only recipients ->
-            List.iter
-              (fun recipient ->
-                ignore (materialize recipient);
-                Network.send_direct network ~recipient ~delay msg)
-              recipients)
-        releases;
-      phase_stop instr (fun i -> i.sp_adversary);
-      if Option.is_some on_round || Option.is_some instr then begin
-        let best_height =
-          Hashtbl.fold
-            (fun _ m acc -> max acc (Miner.chain_length m))
-            materialized
-            (Miner.chain_length crowd)
-        in
-        (match on_round with
-        | None -> ()
-        | Some report ->
-          report
-            {
-              round_number = round;
-              honest_mined = h;
-              adversary_successes = successes;
-              releases_issued = List.length releases;
-              best_height;
-              reorg_depth = !round_reorg;
-            });
-        observe_round
-          ~conv_round:(Pattern.last_count_round pattern)
-          instr ~round ~h ~successes ~releases ~round_reorg:!round_reorg
-          ~best_height
-          ~conv_count:(Pattern.count pattern)
-      end;
-      emit_snapshots_through round;
-      cursor := round
-    end
-  done;
-  emit_snapshots_through horizon;
-  if horizon > 0 && !last_snap_round <> horizon then take_snapshot horizon;
-  for round = config.rounds + 1 to config.rounds + config.delta do
-    deliver_round round ~track_round_reorg:None
-  done;
-  {
-    config;
-    snapshots = List.rev !snapshots;
-    god_view = god;
-    final_tips = Array.init honest_n tip_of;
-    convergence_opportunities = Pattern.count pattern;
-    adversary_blocks = !adversary_blocks;
-    honest_blocks = !honest_blocks;
-    h_rounds = !h_rounds;
-    h1_rounds = !h1_rounds;
-    max_reorg_depth = !max_reorg;
-    adversary_releases = Adversary.reorgs_caused adversary;
-    messages_sent = Network.messages_sent network;
-    orphans_remaining =
-      Hashtbl.fold
-        (fun _ m acc -> acc + Miner.orphan_count m)
-        materialized
-        (if crowd_live () then Miner.orphan_count crowd else 0);
-    processed_rounds = !processed;
-  }
+      step_round ~round:target ~h ~successes:(fun () -> successes)
+    end;
+    cursor := target
+  done
 
 let run ?on_round ?telemetry config =
   Config.validate config;
   let instr = Option.map make_instruments telemetry in
+  let st = setup ~on_round ~instr config in
   match config.mining_mode with
-  | Config.Exact -> run_exact ?on_round ~instr config
-  | Config.Aggregate -> run_aggregate ?on_round ~instr config
-  | Config.Skip -> run_skip ?on_round ~instr config
+  | Config.Exact -> run_exact st
+  | Config.Aggregate -> run_crowd st ~drive:every_round
+  | Config.Skip -> run_crowd st ~drive:skip_empty_rounds

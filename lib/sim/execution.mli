@@ -9,29 +9,31 @@
     tips are snapshotted on a configurable cadence for the consistency
     audit in {!Metrics}.
 
-    Three executors implement the same round semantics
+    Two executors implement the same round semantics
     (see {!Config.mining_mode}):
 
     - [Exact] walks every honest miner and every sequential adversary
       query individually — O(n) per round, bit-for-bit the historical
       executor, and the mode behind the committed campaign goldens.
-    - [Aggregate] draws per-round success {e counts} from the exact
-      binomial law, selects winners by partial Fisher–Yates, routes
-      broadcasts through the network's shared Δ-ring lane, and keeps one
-      shared "crowd" view for every miner never individually touched —
-      O(blocks mined + messages due) per round.  Distribution-identical
-      to [Exact] (same law for every statistic in {!result}), not
-      bit-identical, and restricted to recipient-independent delay
-      policies ([Immediate], [Fixed], [Maximal]).
-    - [Skip] is Aggregate that never iterates an empty round: the gap to
-      the next block-bearing round is sampled from
-      Geometric(1 - (1-p)^(mu n + nu n)) jointly with the conditional
-      success counts, the Δ-ring / adversary / convergence pattern are
-      fast-forwarded across the span in O(1), and only rounds where
-      blocks appear or deliveries fall due are simulated — O(events)
-      total.  Distribution-identical to [Aggregate]; [on_round] fires
-      only for simulated rounds (compare [processed_rounds] with
-      [config.rounds]). *)
+    - The crowd core behind [Aggregate] and [Skip] draws per-round
+      success {e counts} from the exact binomial laws, selects winners by
+      partial Fisher–Yates, routes broadcasts through the network's
+      shared Δ-ring lane, and keeps one shared "crowd" view for every
+      miner never individually touched — O(blocks mined + messages due)
+      per simulated round.  The two modes differ only in their
+      round-choice driver.  [Aggregate] simulates every round, drawing
+      binom(mu n, p) honest and binom(nu n, p) adversarial successes.
+      [Skip] never iterates an empty round: it samples the gap to the
+      next block-bearing round from Geometric(1 - (1-p)^(mu n + nu n))
+      jointly with the conditional success counts, simulates the
+      earlier of that round and the next due delivery, and
+      fast-forwards the adversary and the convergence pattern across the
+      span in between in O(1) — O(events) total.  Both are
+      distribution-identical to [Exact] (same law for every statistic in
+      {!result}), not bit-identical, and both need a
+      recipient-independent delay policy ([Immediate], [Fixed],
+      [Maximal]).  Under [Skip], [on_round] fires only for simulated
+      rounds (compare [processed_rounds] with [config.rounds]). *)
 
 type snapshot = {
   round : int;
@@ -92,8 +94,7 @@ val run :
     {!result}, and the {!round_report} sequence are bit-identical with
     and without it.  When absent, the hot path performs no clock reads
     and no allocation on its behalf.
-    @raise Invalid_argument when the configuration is invalid, or when
-    [config.mining_mode] is [Aggregate] and the effective delay policy
-    depends on the recipient ([Uniform_random] or [Per_recipient]).
-    @raise Config.Incompatible when [config.mining_mode] is [Skip] with
-    such a policy (the typed variant of the same rejection). *)
+    @raise Invalid_argument when the configuration is invalid.
+    @raise Config.Incompatible when [config.mining_mode] is [Aggregate]
+    or [Skip] and the effective delay policy depends on the recipient
+    ([Uniform_random] or [Per_recipient]). *)

@@ -244,18 +244,19 @@ let test_aggregate_determinism () =
     (summary (Sim.Execution.run cfg) = summary (Sim.Execution.run cfg))
 
 let test_aggregate_rejects_recipient_dependent_policies () =
-  check_raises_invalid "balance default policy is per-recipient" (fun () ->
-      ignore
-        (Sim.Execution.run
-           (aggregate_config ~strategy:(Sim.Adversary.Balance { group_boundary = 10 })
-              ())));
-  check_raises_invalid "uniform-random override" (fun () ->
-      ignore
-        (Sim.Execution.run
-           {
-             (aggregate_config ()) with
-             delay_override = Some Nakamoto_net.Network.Uniform_random;
-           }))
+  let expect_incompatible label cfg =
+    match ignore (Sim.Execution.run cfg) with
+    | () -> Alcotest.fail (label ^ ": expected Config.Incompatible")
+    | exception Sim.Config.Incompatible { mode; _ } ->
+      check_true (label ^ ": mode is Aggregate") (mode = Sim.Config.Aggregate)
+  in
+  expect_incompatible "balance default policy is per-recipient"
+    (aggregate_config ~strategy:(Sim.Adversary.Balance { group_boundary = 10 }) ());
+  expect_incompatible "uniform-random override"
+    {
+      (aggregate_config ()) with
+      delay_override = Some Nakamoto_net.Network.Uniform_random;
+    }
 
 let test_aggregate_matches_exact_in_distribution () =
   (* Same configuration, long horizon, different executors: every counter

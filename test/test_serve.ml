@@ -196,6 +196,34 @@ let test_topology_independence () =
     ];
   (try Unix.rmdir teldir with Unix.Unix_error _ -> ())
 
+(* A daemon that closes while a worker sleeps on its [No_work] reply:
+   the worker's next lease request meets a closed socket, which is the
+   same normal exit as reading end-of-file. *)
+let test_worker_survives_daemon_close () =
+  let socket = temp_path "close" ".sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 1;
+  let daemon =
+    Domain.spawn (fun () ->
+        let fd, _ = Unix.accept listener in
+        let ch = Frame.Channel.of_fd fd in
+        (match Msg.recv ch with
+        | `Msg (Msg.Hello _) ->
+          Msg.send ch (Msg.Hello_ack { version = Frame.protocol_version })
+        | _ -> ());
+        (match Msg.recv ch with
+        | `Msg (Msg.Lease_request _) ->
+          Msg.send ch (Msg.No_work { retry_after = 0.3 })
+        | _ -> ());
+        Unix.close fd;
+        Unix.close listener)
+  in
+  let worker = spawn_worker ~addr:(Serve.Conn.Unix_path socket) () in
+  Domain.join daemon;
+  check_int "worker exits cleanly" 0 (Domain.join worker);
+  cleanup socket
+
 let await_tcp_addr port =
   let rec go n =
     if Atomic.get port = 0 then
@@ -475,6 +503,8 @@ let suite =
       test_wedged_peer;
     case "a late result for a still-pending shard is accepted"
       test_late_result;
+    case "a worker exits cleanly when the daemon closes under it"
+      test_worker_survives_daemon_close;
     case "version mismatch and unknown tags get typed Error frames"
       test_protocol_edges;
     case "surface-backed daemon serves cached verdicts"
