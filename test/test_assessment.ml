@@ -168,6 +168,57 @@ let test_depth_limited_is_structured () =
     (contains_substring ~affix:"depth_limited"
        (Format.asprintf "%a" Assessment.pp a))
 
+(* --- confirmation-depth pins near the depth cap ----------------------
+   A SAFE point whose rate ratio sits just past the cap (c = 0.841) and
+   one whose depth sits just under it (c = 0.86).  The depth, its
+   residual risk to the bit and the batch CLI's bytes must not move
+   when the depth search changes. *)
+
+let cap_point c = Params.of_c ~n:100. ~delta:30. ~nu:0.1 ~c
+
+let test_depth_cap_pins () =
+  let a = Assessment.assess (cap_point 0.841) in
+  check_true "c = 0.841 stays SAFE" (a.Assessment.zone = Assessment.Safe);
+  (match a.Assessment.confirmation_failure with
+  | Some (Confirmation.Depth_limited { limit; _ }) ->
+    check_int "c = 0.841 limit" 10_000 limit
+  | _ -> Alcotest.fail "c = 0.841 must be Depth_limited");
+  let a = Assessment.assess (cap_point 0.86) in
+  match a.Assessment.confirmations with
+  | Some conf ->
+    check_int "c = 0.86 depth" 2730 conf.Confirmation.confirmations;
+    Alcotest.(check string)
+      "c = 0.86 residual risk bits" "3f505d7f50c0f000"
+      (Printf.sprintf "%Lx" (Int64.bits_of_float conf.Confirmation.residual_risk))
+  | None -> Alcotest.fail "c = 0.86 must settle"
+
+(* The CLI binary built next to this test executable. *)
+let main_exe () =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/main.exe")
+
+let test_depth_cap_batch_records () =
+  let ic, oc =
+    Unix.open_process_args (main_exe ())
+      [| "main.exe"; "assess"; "--stdin-jsonl" |]
+  in
+  output_string oc
+    "{\"nu\":0.1,\"c\":0.841,\"n\":100,\"delta\":30}\n\
+     {\"nu\":0.1,\"c\":0.86,\"n\":100,\"delta\":30}\n";
+  close_out oc;
+  let l1 = input_line ic in
+  let l2 = input_line ic in
+  check_true "process exits 0" (Unix.close_process (ic, oc) = Unix.WEXITED 0);
+  Alcotest.(check string)
+    "c = 0.841 record"
+    "{\"ok\":true,\"line\":1,\"p\":0.00039635354736424893,\"n\":100,\"delta\":30,\"nu\":0.10000000000000001,\"c\":0.84099999999999997,\"zone\":\"SAFE\",\"margin\":0.021784696035846318,\"margin_lo\":0.021784696035846318,\"margin_hi\":0.021784696035846318,\"cached\":false,\"conf_reason\":\"depth_limited\"}"
+    l1;
+  Alcotest.(check string)
+    "c = 0.86 record"
+    "{\"ok\":true,\"line\":2,\"p\":0.0003875968992248062,\"n\":100,\"delta\":30,\"nu\":0.10000000000000001,\"c\":0.85999999999999999,\"zone\":\"SAFE\",\"margin\":0.040784696035846335,\"margin_lo\":0.040784696035846335,\"margin_hi\":0.040784696035846335,\"cached\":false,\"confirmations\":2730}"
+    l2
+
 let test_outside_consistency_is_structured () =
   let params = Params.create ~p:1e-6 ~n:100. ~delta:10. ~nu:0.4998 in
   let a = Assessment.assess params in
@@ -210,5 +261,7 @@ let suite =
     case "depth limit surfaces as data" test_depth_limited_is_structured;
     case "outside consistency surfaces as data"
       test_outside_consistency_is_structured;
+    case "depth cap pins" test_depth_cap_pins;
+    case "depth cap batch records" test_depth_cap_batch_records;
   ]
   @ props
