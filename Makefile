@@ -153,6 +153,14 @@ surface-smoke:
 assessscale-smoke:
 	dune exec bench/main.exe -- --assessscale-smoke
 
+# CONFSEARCH smoke: the confirmation-depth search at rate ratios 0.5,
+# 0.8, 0.9, 0.95 and a depth-limited 0.97 (z, P evaluations, time).  It
+# must agree with the linear scan at 0.5/0.8/0.9 and cost at most 64
+# evaluations of P(depth cap) at 0.95 and when depth-limited.  Writes
+# no file.
+confsearch-smoke:
+	dune exec bench/main.exe -- --confsearch-smoke
+
 # The property tier's oracle-focused run: the differential oracle (50
 # generated scenarios through Exact / Aggregate / state-process lanes),
 # the stationary cross-checks, and the Δ-ring vs queue-lane equivalence.
@@ -176,7 +184,7 @@ soak:
 
 check: all test campaign-smoke faultinject-smoke telemetry-smoke \
   serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke
+  assessscale-smoke confsearch-smoke proptest-smoke
 
 bench:
 	dune exec bench/main.exe
@@ -190,4 +198,4 @@ artifacts:
 
 .PHONY: all test bench examples artifacts campaign-smoke faultinject-smoke \
   telemetry-smoke serve-smoke bench-exec-smoke markov-smoke surface-smoke \
-  assessscale-smoke proptest-smoke soak check
+  assessscale-smoke confsearch-smoke proptest-smoke soak check

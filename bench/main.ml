@@ -1213,6 +1213,114 @@ let markovscale_smoke () =
   print_endline "markovscale smoke OK"
 
 (* ------------------------------------------------------------------ *)
+(* CONFSEARCH: the confirmation-depth search against its linear scan   *)
+(* ------------------------------------------------------------------ *)
+
+(* The P evaluations the gallop-and-bisect search in
+   Confirmation.confirmations_for makes to answer [answer] (None: the
+   depth cap).  On the monotone P a probe at depth m passes
+   (P(m) <= epsilon) exactly when m >= z, so the probe sequence follows
+   from z alone. *)
+let confsearch_evals ~limit answer =
+  let z = Option.value answer ~default:(limit + 1) in
+  let rec gallop lo k n =
+    let k = min k limit in
+    if k >= z then bisect lo k (n + 1)
+    else if k = limit then n + 1
+    else gallop k (2 * k) (n + 1)
+  and bisect lo hi n =
+    if hi - lo <= 1 then n
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      if mid >= z then bisect lo mid (n + 1) else bisect mid hi (n + 1)
+    end
+  in
+  gallop 0 1 0
+
+(* The scan the search replaced: P(1), P(2), ... until P <= epsilon. *)
+let confsearch_linear ~ratio ~epsilon =
+  let limit = Core.Confirmation.depth_limit in
+  let rec go z =
+    if z > limit then None
+    else if Core.Confirmation.nakamoto_double_spend ~ratio ~confirmations:z
+            <= epsilon
+    then Some z
+    else go (z + 1)
+  in
+  go 1
+
+(* Smoke mode (`--confsearch-smoke`, wired into `make check` via
+   `make confsearch-smoke`): one row per rate ratio at the default
+   epsilon, timed in units of one P(depth_limit) evaluation so the floor
+   does not depend on the host.  Exits nonzero if the search disagrees
+   with the linear scan (checked where the scan is cheap: ratio <= 0.9),
+   or if the 0.95 row or the depth-limited row costs more than 64 P(cap)
+   evaluations — the linear scan costs ~1100 at 0.95. *)
+let confsearch_smoke () =
+  section
+    "CONFSEARCH (smoke): gallop-and-bisect depth search vs the linear \
+     scan; floor 64 P(cap) evaluations at ratio 0.95 and when depth-limited";
+  let epsilon = Core.Confirmation.default_epsilon
+  and limit = Core.Confirmation.depth_limit in
+  let _, unit_dt =
+    time_solver (fun () ->
+        Core.Confirmation.nakamoto_double_spend ~ratio:0.95 ~confirmations:limit)
+  in
+  Printf.printf "one P(%d) evaluation: %.3f ms\n" limit (unit_dt *. 1e3);
+  let t =
+    Table.create ~title:(Printf.sprintf "epsilon = %g, cap %d" epsilon limit)
+      ~columns:
+        [ "ratio"; "z"; "P evals"; "search ms"; "in P(cap) evals";
+          "linear scan ms" ]
+  in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  List.iter
+    (fun (ratio, floored, checked) ->
+      let answer, dt =
+        time_solver (fun () ->
+            Core.Confirmation.confirmations_for ~ratio ~epsilon ())
+      in
+      let units = dt /. unit_dt in
+      let scan_ms =
+        if not checked then Table.Text "-"
+        else begin
+          let t0 = Unix.gettimeofday () in
+          let scan = confsearch_linear ~ratio ~epsilon in
+          let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+          if scan <> answer then fail "ratio %g: search disagrees with the linear scan" ratio;
+          Table.Float ms
+        end
+      in
+      if floored && not (units <= 64.) then
+        fail "ratio %g: search costs %.1f P(cap) evaluations (floor 64)" ratio units;
+      Table.add_row t
+        [
+          Table.Float ratio;
+          Table.Text
+            (match answer with
+            | Some z -> string_of_int z
+            | None -> "depth_limited");
+          Table.Int (confsearch_evals ~limit answer);
+          Table.Float (dt *. 1e3);
+          Table.Float units;
+          scan_ms;
+        ])
+    [
+      (0.5, false, true);
+      (0.8, false, true);
+      (0.9, false, true);
+      (0.95, true, false);
+      (0.97, true, false);
+    ];
+  print_table t;
+  match List.rev !failures with
+  | [] -> print_endline "confsearch smoke OK"
+  | fs ->
+    List.iter (fun m -> print_endline ("FAIL: " ^ m)) fs;
+    exit 1
+
+(* ------------------------------------------------------------------ *)
 (* SERVESCALE: campaign daemon throughput vs worker count              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1758,6 +1866,10 @@ let () =
   end;
   if Array.exists (String.equal "--servescale-smoke") Sys.argv then begin
     servescale_smoke ();
+    exit 0
+  end;
+  if Array.exists (String.equal "--confsearch-smoke") Sys.argv then begin
+    confsearch_smoke ();
     exit 0
   end;
   if Array.exists (String.equal "--assessscale-smoke") Sys.argv then begin

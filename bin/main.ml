@@ -640,7 +640,7 @@ let confirm_cmd =
       `Ok ()
   in
   let epsilon_arg =
-    Arg.(value & opt float 1e-3
+    Arg.(value & opt float Core.Confirmation.default_epsilon
          & info [ "epsilon" ] ~docv:"EPS" ~doc:"Acceptable double-spend probability.")
   in
   let delta_small =

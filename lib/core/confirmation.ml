@@ -62,19 +62,40 @@ let nakamoto_double_spend ~ratio ~confirmations =
     Nakamoto_numerics.Special.clamp ~lo:0. ~hi:1. (1. -. !acc)
   end
 
-let confirmations_for ?(limit = 10_000) ~ratio ~epsilon () =
+let depth_limit = 10_000
+let default_epsilon = 1e-3
+
+(* The smallest z in [1, limit] with P(z) <= epsilon, paired with P(z),
+   or None.  A gallop over z = 1, 2, 4, ... (capped at [limit], which is
+   evaluated only when the gallop reaches it) brackets the answer; a
+   bisection inside the last doubling keeps P(lo) > epsilon >= P(hi),
+   where lo = 0 stands for "no depth evaluated yet". *)
+let search_depth ~limit ~ratio ~epsilon =
   if not (ratio > 0. && ratio < 1.) then
     invalid_arg "Confirmation.confirmations_for: ratio must lie in (0, 1)";
   if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg "Confirmation.confirmations_for: epsilon must lie in (0, 1)";
   if limit < 1 then
     invalid_arg "Confirmation.confirmations_for: limit must be >= 1";
-  let rec search z =
-    if z > limit then None
-    else if nakamoto_double_spend ~ratio ~confirmations:z <= epsilon then Some z
-    else search (z + 1)
+  let p z = nakamoto_double_spend ~ratio ~confirmations:z in
+  let rec gallop lo z =
+    let z = min z limit in
+    let pz = p z in
+    if pz <= epsilon then bisect lo z pz
+    else if z = limit then None
+    else gallop z (2 * z)
+  and bisect lo hi p_hi =
+    if hi - lo <= 1 then Some (hi, p_hi)
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      let p_mid = p mid in
+      if p_mid <= epsilon then bisect lo mid p_mid else bisect mid hi p_hi
+    end
   in
-  search 1
+  gallop 0 1
+
+let confirmations_for ?(limit = depth_limit) ~ratio ~epsilon () =
+  Option.map fst (search_depth ~limit ~ratio ~epsilon)
 
 type assessment = {
   params : Params.t;
@@ -95,7 +116,7 @@ let unavailable_label = function
   | Outside_consistency _ -> "outside_consistency"
   | Depth_limited _ -> "depth_limited"
 
-let assess_checked ?(epsilon = 1e-3) (params : Params.t) =
+let assess_checked ?(epsilon = default_epsilon) (params : Params.t) =
   if params.nu = 0. then Error No_adversary
   else begin
     let honest_rate = Conv_chain.convergence_rate params in
@@ -103,12 +124,13 @@ let assess_checked ?(epsilon = 1e-3) (params : Params.t) =
     let rate_ratio = adversary_rate /. honest_rate in
     if not (rate_ratio < 1.) then Error (Outside_consistency { rate_ratio })
     else
-      match confirmations_for ~ratio:rate_ratio ~epsilon () with
+      match search_depth ~limit:depth_limit ~ratio:rate_ratio ~epsilon with
       | None ->
-        (* A ratio this close to 1 would want >10_000 confirmations: for
-           any practical purpose the parameters are not settleable. *)
-        Error (Depth_limited { rate_ratio; limit = 10_000 })
-      | Some confirmations ->
+        (* A ratio this close to 1 would want more than [depth_limit]
+           confirmations: for any practical purpose the parameters are
+           not settleable. *)
+        Error (Depth_limited { rate_ratio; limit = depth_limit })
+      | Some (confirmations, residual_risk) ->
         Ok
           {
             params;
@@ -116,7 +138,7 @@ let assess_checked ?(epsilon = 1e-3) (params : Params.t) =
             adversary_rate;
             rate_ratio;
             confirmations;
-            residual_risk = nakamoto_double_spend ~ratio:rate_ratio ~confirmations;
+            residual_risk;
           }
   end
 
@@ -134,7 +156,7 @@ let assess ?epsilon (params : Params.t) =
          "Confirmation.assess: no depth within the search limit reaches \
           epsilon = %g at rate ratio %.6f (settlement impractical this \
           close to the consistency boundary)"
-         (Option.value epsilon ~default:1e-3) rate_ratio)
+         (Option.value epsilon ~default:default_epsilon) rate_ratio)
 
 let to_table assessments =
   let t =

@@ -44,14 +44,36 @@ val nakamoto_double_spend : ratio:float -> confirmations:int -> float
     @raise Invalid_argument unless [0 < ratio] and [confirmations >= 1];
     returns [1.] for [ratio >= 1]. *)
 
+val depth_limit : int
+(** [10_000]: the deepest confirmation count the search considers by
+    default — the [limit] {!assess_checked} searches to and reports in
+    {!Depth_limited}. *)
+
+val default_epsilon : float
+(** [1e-3]: the double-spend risk target {!assess} and
+    {!assess_checked} use when no [epsilon] is given. *)
+
 val confirmations_for :
   ?limit:int -> ratio:float -> epsilon:float -> unit -> int option
 (** [confirmations_for ~ratio ~epsilon ()] is [Some z] for the smallest
     [z >= 1] with [nakamoto_double_spend ~ratio ~confirmations:z <=
-    epsilon], or [None] when no [z <= limit] (default [10_000])
+    epsilon], or [None] when no [z <= limit] (default {!depth_limit})
     suffices — a well-typed "the ratio is too close to 1 to settle"
     answer, not an exception, so sweeps over a parameter grid can
     report the unsettleable cells instead of dying on the first one.
+
+    The search gallops over [z = 1, 2, 4, ...] until the probability
+    drops to [epsilon] (evaluating [z = limit] only when the gallop
+    reaches it), then bisects inside the last doubling: O(log z)
+    evaluations of the O(z) sum, O(z log z) in all, and about
+    [2 * limit] terms for a [None].
+
+    Rounding floor: the computed [1 - sum] is not monotone in [z] once
+    it falls below about [1e-10] (the largest upward blip seen is
+    [6.6e-11]).  For [epsilon] that small the answer is a [z] with
+    [P(z) <= epsilon < P(z - 1)], not necessarily the first such [z]
+    (the CLI reaches this through [confirm --epsilon]); for
+    [epsilon >= 1e-9] it is the first.
     @raise Invalid_argument unless [0 < ratio < 1], [0 < epsilon < 1]
     and [limit >= 1]. *)
 
@@ -69,9 +91,9 @@ type unavailable =
   | Outside_consistency of { rate_ratio : float }
       (** the rate ratio is not < 1: no finite depth is safe *)
   | Depth_limited of { rate_ratio : float; limit : int }
-      (** no depth within {!confirmations_for}'s search limit reaches
-          [epsilon] — settlement impractical this close to the
-          consistency boundary *)
+      (** no depth up to [limit] = {!depth_limit} reaches [epsilon] —
+          settlement impractical this close to the consistency
+          boundary *)
 (** Why a confirmation depth could not be produced — the typed version
     of the three [Invalid_argument] cases {!assess} raises, so batch
     consumers (e.g. [assess --stdin-jsonl]) can report the reason per
@@ -88,12 +110,12 @@ val assess_checked :
 
 val assess : ?epsilon:float -> Params.t -> assessment
 (** [assess params] computes the conservative confirmation depth in the
-    Delta-delay model ([epsilon] defaults to [1e-3]).  Requires the
+    Delta-delay model ([epsilon] defaults to {!default_epsilon}).  Requires the
     parameters to sit strictly inside the consistency region
     ([rate_ratio < 1], i.e. Theorem 1's condition with slack).
     @raise Invalid_argument when [nu = 0.] (nothing to defend against),
     the rate ratio is not < 1 (no finite depth is safe), or no depth
-    within {!confirmations_for}'s search limit reaches [epsilon] —
+    up to {!depth_limit} reaches [epsilon] —
     the same cases {!assess_checked} returns as typed [Error]s. *)
 
 val to_table : assessment list -> Nakamoto_numerics.Table.t

@@ -23,7 +23,7 @@ let conf_limit t = t.conf_limit
 let refine t = t.refine
 let fingerprint t = t.fingerprint
 
-let default_epsilon = 1e-3
+let default_epsilon = Nakamoto_core.Confirmation.default_epsilon
 let default_conf_limit = 256
 let default_refine = 2
 

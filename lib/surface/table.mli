@@ -31,12 +31,13 @@
 type t
 
 val default_epsilon : float
-(** [1e-3] — the CLI assess default risk target. *)
+(** {!Nakamoto_core.Confirmation.default_epsilon} ([1e-3]) — the CLI
+    assess default risk target. *)
 
 val default_conf_limit : int
 (** [256]: the certified confirmation search gives up (and the cell
-    marks its depth inconclusive) well below the exact solver's 10_000
-    limit — interval evaluation of the double-spend sum is O(z^2) per
+    marks its depth inconclusive) well below the exact solver's
+    {!Nakamoto_core.Confirmation.depth_limit} — interval evaluation of the double-spend sum is O(z^2) per
     cell, and a cell needing hundreds of confirmations sits so close to
     the consistency frontier that falling back is the right answer
     anyway. *)

@@ -64,13 +64,55 @@ let test_nakamoto_formula () =
   check_raises_invalid "z = 0" (fun () ->
       ignore (Confirmation.nakamoto_double_spend ~ratio:0.3 ~confirmations:0))
 
+(* P(z + 1) <= P(z) wherever P(z + 1) sits above the rounding floor:
+   what makes the first depth at or below any epsilon >= 1e-9 the only
+   depth where P crosses epsilon. *)
+let no_rise ~ratio z =
+  let p z = Confirmation.nakamoto_double_spend ~ratio ~confirmations:z in
+  let next = p (z + 1) in
+  next <= 1e-9 || next <= p z
+
 let test_nakamoto_monotone () =
-  let p z = Confirmation.nakamoto_double_spend ~ratio:0.4 ~confirmations:z in
-  let ok = ref true in
-  for z = 1 to 30 do
-    if p (z + 1) > p z +. 1e-12 then ok := false
-  done;
-  check_true "decreasing in confirmations" !ok
+  List.iter
+    (fun ratio ->
+      let ok = ref true in
+      for z = 1 to 200 do
+        if not (no_rise ~ratio z) then ok := false
+      done;
+      (* Sparser beyond: one adjacent pair every 97 depths up to the
+         depth cap. *)
+      let z = ref 201 in
+      while !z < Confirmation.depth_limit do
+        if not (no_rise ~ratio !z) then ok := false;
+        z := !z + 97
+      done;
+      check_true (Printf.sprintf "decreasing in confirmations at %g" ratio) !ok)
+    [ 0.1; 0.4; 0.7; 0.9; 0.93; 0.96 ]
+
+(* The linear scan the depth search replaces, kept as its oracle. *)
+let linear_scan ~limit ~ratio ~epsilon =
+  let rec go z =
+    if z > limit then None
+    else if Confirmation.nakamoto_double_spend ~ratio ~confirmations:z <= epsilon
+    then Some z
+    else go (z + 1)
+  in
+  go 1
+
+let test_search_limit_edges () =
+  let ratio = 0.1 /. 0.9 in
+  let at limit epsilon =
+    Confirmation.confirmations_for ~limit ~ratio ~epsilon ()
+  in
+  check_true "z* = limit" (at 5 0.001 = Some 5);
+  check_true "limit = z* - 1" (at 4 0.001 = None);
+  check_true "limit 1, P(1) above epsilon" (at 1 0.001 = None);
+  check_true "limit 1, P(1) at or below epsilon" (at 1 0.5 = Some 1);
+  check_true "default limit is the depth cap"
+    (Confirmation.confirmations_for ~ratio:0.97 ~epsilon:1e-3 () = None
+    && Confirmation.confirmations_for ~limit:(Confirmation.depth_limit + 1)
+         ~ratio:0.9 ~epsilon:1e-3 ()
+       = Confirmation.confirmations_for ~ratio:0.9 ~epsilon:1e-3 ())
 
 let test_confirmations_for () =
   let z =
@@ -120,8 +162,42 @@ let test_table_rendering () =
   let t = Confirmation.to_table [ a ] in
   check_int "one row" 1 (Nakamoto_numerics.Table.row_count t)
 
+(* ratio in (0, hi], epsilon log-uniform in [1e-9, 0.5]. *)
+let ratio_upto hi =
+  QCheck2.Gen.map (fun u -> hi *. (1. -. u)) (QCheck2.Gen.float_bound_exclusive 1.)
+
+let epsilon_gen =
+  QCheck2.Gen.map
+    (fun e -> 10. ** e)
+    (QCheck2.Gen.float_range (-9.) (Float.log10 0.5))
+
 let props =
   [
+    prop "depth search equals the linear scan"
+      QCheck2.Gen.(
+        triple (ratio_upto 0.93) epsilon_gen
+          (map
+             (fun e -> max 1 (min 10_000 (int_of_float (10. ** e))))
+             (float_range 0. 4.)))
+      (fun (ratio, epsilon, limit) ->
+        Confirmation.confirmations_for ~limit ~ratio ~epsilon ()
+        = linear_scan ~limit ~ratio ~epsilon);
+    prop "depth search limit edges"
+      QCheck2.Gen.(pair (ratio_upto 0.93) epsilon_gen)
+      (fun (ratio, epsilon) ->
+        let at limit = Confirmation.confirmations_for ~limit ~ratio ~epsilon () in
+        let p z = Confirmation.nakamoto_double_spend ~ratio ~confirmations:z in
+        (at 1 = if p 1 <= epsilon then Some 1 else None)
+        &&
+        match at Confirmation.depth_limit with
+        | None -> p Confirmation.depth_limit > epsilon
+        | Some z ->
+          p z <= epsilon
+          && (z = 1 || (p (z - 1) > epsilon && at (z - 1) = None))
+          && at z = Some z);
+    prop ~count:300 "double-spend probability never rises above 1e-9"
+      QCheck2.Gen.(pair (ratio_upto 0.96) (int_range 1 Confirmation.depth_limit))
+      (fun (ratio, z) -> no_rise ~ratio z);
     prop "overtake decreasing in deficit"
       QCheck2.Gen.(pair (float_range 0.1 0.9) (int_range 0 20))
       (fun (ratio, deficit) ->
@@ -155,6 +231,7 @@ let suite =
     case "Nakamoto formula anchors" test_nakamoto_formula;
     case "Nakamoto monotone" test_nakamoto_monotone;
     case "confirmations_for" test_confirmations_for;
+    case "search limit edges" test_search_limit_edges;
     case "assess" test_assess;
     case "table rendering" test_table_rendering;
   ]
