@@ -71,9 +71,9 @@ val confirmations_for :
     Rounding floor: the computed [1 - sum] is not monotone in [z] once
     it falls below about [1e-10] (the largest upward blip seen is
     [6.6e-11]).  For [epsilon] that small the answer is a [z] with
-    [P(z) <= epsilon < P(z - 1)], not necessarily the first such [z]
-    (the CLI reaches this through [confirm --epsilon]); for
-    [epsilon >= 1e-9] it is the first.
+    [P(z) <= epsilon < P(z - 1)] (or [z = 1]), not necessarily the
+    first [z] with [P(z) <= epsilon] (the CLI reaches this through
+    [confirm --epsilon]); for [epsilon >= 1e-9] it is the first.
     @raise Invalid_argument unless [0 < ratio < 1], [0 < epsilon < 1]
     and [limit >= 1]. *)
 
@@ -110,13 +110,13 @@ val assess_checked :
 
 val assess : ?epsilon:float -> Params.t -> assessment
 (** [assess params] computes the conservative confirmation depth in the
-    Delta-delay model ([epsilon] defaults to {!default_epsilon}).  Requires the
-    parameters to sit strictly inside the consistency region
-    ([rate_ratio < 1], i.e. Theorem 1's condition with slack).
+    Delta-delay model ([epsilon] defaults to {!default_epsilon}).
+    Requires the parameters to sit strictly inside the consistency
+    region ([rate_ratio < 1], i.e. Theorem 1's condition with slack).
     @raise Invalid_argument when [nu = 0.] (nothing to defend against),
-    the rate ratio is not < 1 (no finite depth is safe), or no depth
-    up to {!depth_limit} reaches [epsilon] —
-    the same cases {!assess_checked} returns as typed [Error]s. *)
+    the rate ratio is not < 1 (no finite depth is safe), or no depth up
+    to {!depth_limit} reaches [epsilon] — the same cases
+    {!assess_checked} returns as typed [Error]s. *)
 
 val to_table : assessment list -> Nakamoto_numerics.Table.t
 (** Render a sweep of assessments. *)

@@ -112,19 +112,35 @@ let top = I.make ~lo:neg_infinity ~hi:infinity
 let nonneg = I.make ~lo:0. ~hi:infinity
 
 let certify_conf ~epsilon ~conf_limit ratio =
-  (* [Conf z] is sound because the exact searcher walks z = 1, 2, ...:
-     every depth before [z] is certified above epsilon (lo > eps), and
-     [z] itself certified at-or-below (hi <= eps), so the exact search
-     stops exactly there.  Any straddle means the exact answer could go
-     either way inside the cell — inconclusive, fall back. *)
+  (* [Conf z] is sound because every depth before [z] is certified above
+     epsilon (lo > eps), and [z] and every depth after it up to the
+     first power of two >= z certified at-or-below (hi <= eps).  The
+     exact searcher gallops over z = 1, 2, 4, ... and bisects inside the
+     last doubling, so it probes no depth past that power of two, sees
+     every probe fall on the side of epsilon a monotone P would put it,
+     and stops exactly at [z] — whether or not the computed P is
+     monotone at this epsilon.  (Capping the gallop at the search limit
+     only moves a probe into the certified range.)  Past that limit the
+     exact search answers None, so no depth beyond it is certified.  Any
+     straddle means the exact answer could go either way inside the
+     cell — inconclusive, fall back. *)
   if I.lo ratio >= 1. then Conf_none
   else if I.hi ratio >= 1. then Conf_inconclusive
   else begin
+    let rec gallop_top g z = if g >= z then g else gallop_top (2 * g) z in
+    let rec at_most_epsilon lo hi =
+      lo > hi
+      || I.hi (double_spend_iv ~ratio ~confirmations:lo) <= epsilon
+         && at_most_epsilon (lo + 1) hi
+    in
     let rec search z =
-      if z > conf_limit then Conf_inconclusive
+      if z > conf_limit || z > Nakamoto_core.Confirmation.depth_limit then
+        Conf_inconclusive
       else begin
         let ds = double_spend_iv ~ratio ~confirmations:z in
-        if I.hi ds <= epsilon then Conf z
+        if I.hi ds <= epsilon then
+          if at_most_epsilon (z + 1) (gallop_top 1 z) then Conf z
+          else Conf_inconclusive
         else if I.lo ds <= epsilon then Conf_inconclusive
         else search (z + 1)
       end
