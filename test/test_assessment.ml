@@ -62,6 +62,77 @@ let test_rendering () =
   let table = Assessment.to_table [ a; Assessment.assess (point ~nu:0.3 ~c:0.2) ] in
   check_int "two rows" 2 (Nakamoto_numerics.Table.row_count table)
 
+(* Byte-exact renderings of three points whose suffix-chain diagnostic
+   takes each solver route: dense LU (Delta = 200, 401 states), the
+   sparse censor (Delta = 2000) and the largest enumerable Delta.  The
+   |Eq.37 - solve| column carries the solver's bits. *)
+let test_rendering_pins () =
+  List.iter
+    (fun (delta, diag_bits, expected) ->
+      let a =
+        Assessment.assess (Params.of_c ~n:1e4 ~delta ~nu:0.2 ~c:3.)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "pp at delta=%g" delta)
+        (String.concat "\n" expected)
+        (Format.asprintf "%a" Assessment.pp a);
+      match a.Assessment.suffix_diagnostics with
+      | None -> Alcotest.fail "enumerable delta must carry the diagnostic"
+      | Some d ->
+        Alcotest.(check string)
+          (Printf.sprintf "deep mass and error bits at delta=%g" delta)
+          diag_bits
+          (Printf.sprintf "%Lx %Lx"
+             (Int64.bits_of_float d.Assessment.suffix_deep_mass)
+             (Int64.bits_of_float d.Assessment.suffix_max_abs_error)))
+    [
+      (200., "3fe8827c1c681674 3cd6000000000000",
+         [
+           "assessment of {n=10000; delta=200; p=1.66667e-07; nu=0.2; c=3}";
+           "  zone                   SAFE";
+           "  c                      3.0000";
+           "  our bound (Thm 2)      c > 1.1542  (margin +1.8458)";
+           "  Thm 2 exact threshold  c >= 1.1660";
+           "  Thm 1 log-margin       +0.8516";
+           "  PSS consistency needs  c > 2.1333";
+           "  PSS attack wins for    c < 0.2667";
+           "  confirmations (1e-3)   24 (residual 7.63e-04)";
+           "  suffix chain C_F       401 states via dense, |Eq.37 - solve| <= 1.22e-15";
+           "  growth per round       [0.001052, 0.001332]";
+           "  quality floor          0.6832";
+         ] );
+      (2000., "3fe8827c24a17473 3d2a100000000000",
+         [
+           "assessment of {n=10000; delta=2000; p=1.66667e-08; nu=0.2; c=3}";
+           "  zone                   SAFE";
+           "  c                      3.0000";
+           "  our bound (Thm 2)      c > 1.1542  (margin +1.8458)";
+           "  Thm 2 exact threshold  c >= 1.1553";
+           "  Thm 1 log-margin       +0.8528";
+           "  PSS consistency needs  c > 2.1333";
+           "  PSS attack wins for    c < 0.2667";
+           "  confirmations (1e-3)   23 (residual 9.96e-04)";
+           "  suffix chain C_F       4001 states via sparse, |Eq.37 - solve| <= 4.63e-14";
+           "  growth per round       [0.0001053, 0.0001333]";
+           "  quality floor          0.6833";
+         ] );
+      (4096., "3fe8827c2519296a 3d31600000000000",
+         [
+           "assessment of {n=10000; delta=4096; p=8.13802e-09; nu=0.2; c=3}";
+           "  zone                   SAFE";
+           "  c                      3.0000";
+           "  our bound (Thm 2)      c > 1.1542  (margin +1.8458)";
+           "  Thm 2 exact threshold  c >= 1.1547";
+           "  Thm 1 log-margin       +0.8529";
+           "  PSS consistency needs  c > 2.1333";
+           "  PSS attack wins for    c < 0.2667";
+           "  confirmations (1e-3)   23 (residual 9.95e-04)";
+           "  suffix chain C_F       8193 states via sparse, |Eq.37 - solve| <= 6.17e-14";
+           "  growth per round       [5.14e-05, 6.51e-05]";
+           "  quality floor          0.6833";
+         ] );
+    ]
+
 (* --- surface fallback frontiers -----------------------------------
    Single-cell surfaces built to straddle a verdict boundary: the
    certifier must refuse the cell, the query must route to the exact
@@ -255,6 +326,7 @@ let suite =
     case "settlement availability" test_safe_zone_has_settlement;
     case "margins and envelopes" test_margins_and_envelopes;
     case "rendering" test_rendering;
+    case "rendering pins per solver route" test_rendering_pins;
     case "safe/gap frontier falls back" test_safe_gap_frontier_falls_back;
     case "gap/attack frontier falls back" test_gap_attack_frontier_falls_back;
     case "confirmation frontier falls back" test_conf_frontier_falls_back;

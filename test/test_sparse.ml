@@ -255,6 +255,157 @@ let test_telemetry_instrumentation () =
     check_true "spmv counter counts states" (states > 0)
   | _ -> Alcotest.fail "spmv counter missing"
 
+
+(* --- bit pins -------------------------------------------------------
+   Digests of the exact bits the censoring kernel returns, so a rewrite
+   of its working storage must reproduce every float, every fill-budget
+   abort and every reducibility message. *)
+
+module Rng = Nakamoto_prob.Rng
+module Conv_chain = Nakamoto_core.Conv_chain
+module Params = Nakamoto_core.Params
+
+let bits_digest = function
+  | None -> "none"
+  | Some pi ->
+    let b = Buffer.create (16 * Array.length pi) in
+    Array.iter
+      (fun x ->
+        Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)))
+      pi;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+
+let censor_digest ?fill_budget sp =
+  match Sparse.stationary_censor ?fill_budget sp with
+  | r -> bits_digest r
+  | exception Invalid_argument msg -> "invalid: " ^ msg
+
+(* A seeded banded chain with random long-range fill: each row keeps a
+   random subset of its [band]-wide neighbourhood, always the step down
+   to [i - 1] (unless [drop_down] fires for the row, which makes the
+   chain reducible at some state), plus [long] random columns anywhere.
+   Rows are normalized to sum to 1. *)
+let fill_chain ~seed ~n ~band ~long ~drop_down =
+  let rng = Rng.create ~seed in
+  let rows =
+    Array.init n (fun i ->
+        let cut = drop_down > 0. && Rng.float rng < drop_down in
+        let keep j = j >= 0 && j < n && j <> i && not (cut && j < i) in
+        let entries = ref [] in
+        let add j =
+          if keep j then entries := (j, 0.01 +. Rng.float rng) :: !entries
+        in
+        if i > 0 then add (i - 1);
+        for d = -band to band do
+          if d <> 0 && d <> -1 && Rng.float rng < 0.6 then add (i + d)
+        done;
+        for _ = 1 to long do
+          add (Rng.int rng ~bound:n)
+        done;
+        if !entries = [] then entries := [ (i, 1.) ];
+        let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. !entries in
+        List.map (fun (j, v) -> (j, v /. total)) !entries)
+  in
+  Sparse.create ~rows:n ~cols:n ~entries:rows
+
+let test_pin_suffix_chain () =
+  List.iter
+    (fun (delta, alpha, expected) ->
+      let sp = Suffix_chain.build_sparse ~delta ~alpha in
+      Alcotest.(check string)
+        (Printf.sprintf "C_F censor bits, delta=%d alpha=%g" delta alpha)
+        expected (censor_digest sp);
+      if Suffix_chain.state_count ~delta > Chain.sparse_crossover then
+        Alcotest.(check string)
+          (Printf.sprintf "C_F stationary_auto bits, delta=%d alpha=%g" delta
+             alpha)
+          expected
+          (bits_digest
+             (Some (Chain.stationary_auto (Suffix_chain.build ~delta ~alpha)))))
+    [
+      (1, 1e-4, "b66e31238ca8defc1afd9a4342b196eb");
+      (1, 0.01, "edd9898835fb62865f36f6cd0ef8ac20");
+      (1, 0.3, "c61e42179f990e687e1220994b1df6b1");
+      (1, 0.9, "f63625b2b5197878d07f3fbdc1f18524");
+      (7, 1e-4, "28a2d77d5566e1cd31ff3c3415ed44a8");
+      (7, 0.01, "31365cfaaa730870ea4adbd54a0d3700");
+      (7, 0.3, "3a120f94eef201a06777cd2e93987d07");
+      (7, 0.9, "d32662ff6ae53577aa9fb17e493b1023");
+      (256, 1e-4, "0836cc1b0b634cf15ad803dc73019042");
+      (256, 0.01, "0fbee23bd9cb6c1ca689a30d95307c60");
+      (256, 0.3, "9862a3f84d6442083fc637dd2fc2dc3f");
+      (256, 0.9, "becd2845207c7a2220026fca5b8ea728");
+      (600, 1e-4, "97618629927712087ac99bc8bac0527f");
+      (600, 0.01, "5e91cd364d9f3bea85213dab41a259ef");
+      (600, 0.3, "50eda237304e96e693b4c9aefd591b08");
+      (600, 0.9, "a17b889bb5b4f897b5c240fb019cceaa");
+      (2048, 1e-4, "0c28a67cba23c71a9f910265886cf1c4");
+      (2048, 0.01, "e77d02532507fb1213476ce0813611bb");
+      (2048, 0.3, "ffbb909a3506013cf787b4e70cfcd824");
+      (2048, 0.9, "3cf960d2ea11023498321f50883423c4");
+      (4096, 1e-4, "477eb230aefddc608f0811af1f807c4a");
+      (4096, 0.01, "524e6256bf2f2e2562b4e52ab6119650");
+      (4096, 0.3, "58001521f98bb3fa8cd55d4e19a99030");
+      (4096, 0.9, "4fe31aad6e22e378aedc9d70b394ba4d");
+    ]
+
+let csr_digest sp =
+  let b = Buffer.create 1024 in
+  for i = 0 to Sparse.rows sp - 1 do
+    List.iter
+      (fun (j, v) ->
+        Buffer.add_string b (Printf.sprintf "%d:%Lx," j (Int64.bits_of_float v)))
+      (Sparse.row sp i);
+    Buffer.add_char b ';'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_pin_conv_chain () =
+  List.iter
+    (fun (delta, expected_csr, expected_pi) ->
+      let p =
+        Params.create ~n:50. ~delta:(float_of_int delta) ~p:0.01 ~nu:0.2
+      in
+      let sp = Conv_chain.build_sparse ~delta p in
+      Alcotest.(check string)
+        (Printf.sprintf "C_F||P CSR bits, delta=%d" delta)
+        expected_csr (csr_digest sp);
+      Alcotest.(check string)
+        (Printf.sprintf "C_F||P censor bits, delta=%d" delta)
+        expected_pi (censor_digest sp))
+    [
+      (1, "c05300bfcbd217eaaf0eb3d700694013",
+          "3bae3e480539c1576ea37d06e725e560");
+      (2, "5af754a2317d96c4359a420c1847f932",
+          "03b1842c8b456718d6f47970f78811cf");
+      (3, "a3fcb14c1e82d4beb67055dd0735e203",
+          "58b5ef4a0e9123d96e628efb40f5e178");
+      (4, "5d640b2e823f4e49d6d943d598b84995",
+          "a6940146c59b777ae61dca62a53f36f1");
+    ]
+
+let test_pin_fill_chains () =
+  List.iter
+    (fun (name, seed, n, band, long, drop_down, fill_budget, expected) ->
+      let sp = fill_chain ~seed ~n ~band ~long ~drop_down in
+      (* A budget above the initial nnz aborts mid-elimination, on fill. *)
+      Option.iter
+        (fun b -> check_true (name ^ ": budget above nnz") (Sparse.nnz sp < b))
+        fill_budget;
+      Alcotest.(check string) name expected (censor_digest ?fill_budget sp))
+    [
+      ( "n=60 band 3 + 2 long", 11L, 60, 3, 2, 0., None,
+        "4bbdd9c537dcc2f485aad99497f1aee3" );
+      ( "n=90 band 5 + 3 long", 12L, 90, 5, 3, 0., None,
+        "d1121c8003eda21f88f734dd942dbef3" );
+      ( "n=120 band 4 + 4 long", 13L, 120, 4, 4, 0., None,
+        "7d01844d299f18d91d6e7d3a895ec5a1" );
+      ("n=120 budget abort", 13L, 120, 4, 4, 0., Some 2000, "none");
+      ( "n=40 reducible", 14L, 40, 2, 1, 0.2, None,
+        "invalid: Sparse.stationary_censor: state 2 has no flow to lower \
+         states - the chain is reducible" );
+    ]
+
 let suite =
   [
     case "dense -> CSR -> dense round-trip" test_roundtrip;
@@ -278,4 +429,7 @@ let suite =
     case "stationary_auto: dense below the crossover, sparse above"
       test_stationary_auto_crossover;
     case "telemetry spans and the spmv counter" test_telemetry_instrumentation;
+    case "pin: C_F censor and auto-route bits" test_pin_suffix_chain;
+    case "pin: C_F||P CSR and censor bits" test_pin_conv_chain;
+    case "pin: seeded fill-heavy chains" test_pin_fill_chains;
   ]
