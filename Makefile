@@ -36,7 +36,9 @@ bench-exec-smoke:
 
 # The Delta = 500 MARKOVSCALE column with hard assertions: GTH censoring
 # must out-run the dense LU stationary solve 10x and every solver must
-# sit within 1e-9 of the Eq. 37 closed form.  Emits BENCH_MARKOVSCALE.json.
+# sit within 1e-9 of the Eq. 37 closed form.  Also times assess's whole
+# C_F check at Delta in {256, 1024, 2048, 4096} and bounds the words it
+# allocates per state at Delta = 2048.  Emits BENCH_MARKOVSCALE.json.
 markov-smoke:
 	dune exec bench/main.exe -- --markovscale-smoke
 

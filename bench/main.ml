@@ -1110,6 +1110,47 @@ let markovscale_cell ~delta ~alpha meth =
           (Printf.sprintf "power-x%d" jobs)
           (time_solver (fun () -> Markov.Sparse.stationary_power ~pool sp)))
 
+(* The whole per-point probe [assess] runs at an enumerable Delta —
+   build C_F, solve it on the auto route, compare with Eq. 37 — as one
+   "check" row; its error column is the probe's own. *)
+let check_alpha delta = 4. /. float_of_int delta
+
+let check_cell delta =
+  let alpha = check_alpha delta in
+  let run () = Core.Assessment.suffix_check ~delta ~alpha in
+  let d, dt = time_solver run in
+  let states = d.Core.Assessment.suffix_states in
+  {
+    ms_delta = delta;
+    ms_alpha = alpha;
+    ms_states = states;
+    ms_method = "check";
+    ms_dt = dt;
+    ms_err = d.Core.Assessment.suffix_max_abs_error;
+    ms_rate = float_of_int states /. Float.max dt 1e-9;
+  }
+
+let check_deltas = [ 256; 1024; 2048; 4096 ]
+
+(* Words the check allocates per state, from the GC's own counters — a
+   host-independent cost: minor-heap words (small blocks), and all words,
+   which adds the blocks large enough to go straight to the major heap.
+   (Gc.counters' minor count is not used: on OCaml 5.1 it can be off by a
+   minor heap when a collection falls inside the window.) *)
+let check_words_per_state delta =
+  let alpha = check_alpha delta in
+  ignore (Core.Assessment.suffix_check ~delta ~alpha);
+  let s0 = Gc.quick_stat () and minor0 = Gc.minor_words () in
+  let d = Core.Assessment.suffix_check ~delta ~alpha in
+  let minor1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+  let states = float_of_int d.Core.Assessment.suffix_states in
+  let minor = minor1 -. minor0 in
+  let direct_major =
+    s1.Gc.major_words -. s0.Gc.major_words
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  (minor /. states, (minor +. direct_major) /. states)
+
 let markovscale_json cells ~path =
   let oc = open_out path in
   let row c =
@@ -1177,6 +1218,7 @@ let regen_markovscale () =
     markovscale_cells
       ~points:[ (64, 0.05); (500, 0.008); (2000, 0.002) ]
       ~jobs
+    @ List.map check_cell check_deltas
   in
   markovscale_table
     ~title:
@@ -1184,6 +1226,14 @@ let regen_markovscale () =
        omitted past Delta = 500"
     cells;
   markovscale_json cells ~path:"BENCH_MARKOVSCALE.json"
+
+(* Allocation bounds for the check at Delta = 2048, in words per state
+   (OCaml 5.1, no flambda).  Measured: 24 minor words and 50-53 in all.
+   The kernel with one growable record per row allocated 256 minor words
+   per state for the whole check (85 in the censor alone), so either
+   bound catches a return to per-row small blocks. *)
+let check_minor_words_floor = 40.
+let check_words_floor = 80.
 
 (* Smoke mode (`--markovscale-smoke`, wired into `make check` via
    `make markov-smoke`): the Delta = 500 column with hard assertions —
@@ -1194,8 +1244,12 @@ let markovscale_smoke () =
     "MARKOVSCALE (smoke): GTH censoring must out-run dense LU 10x at \
      Delta = 500, all solvers within 1e-9 of Eq. 37";
   let cells = markovscale_cells ~points:[ (500, 0.008) ] ~jobs:2 in
-  markovscale_json cells ~path:"BENCH_MARKOVSCALE.json";
+  let checks = List.map check_cell check_deltas in
+  markovscale_json (cells @ checks) ~path:"BENCH_MARKOVSCALE.json";
   markovscale_table ~title:"Delta = 500, alpha = 0.008" cells;
+  markovscale_table
+    ~title:"the assess probe: build C_F, auto-route solve, Eq. 37 check"
+    checks;
   let rate m = (List.find (fun c -> c.ms_method = m) cells).ms_rate in
   let worst = List.fold_left (fun acc c -> Float.max acc c.ms_err) 0. cells in
   Printf.printf "worst deviation from Eq. 37 across solvers: %.3e\n" worst;
@@ -1208,6 +1262,19 @@ let markovscale_smoke () =
     dense censor (censor /. dense);
   if not (censor >= 10. *. dense) then begin
     print_endline "FAIL: sparse censoring below 10x dense LU at Delta = 500";
+    exit 1
+  end;
+  let minor, total = check_words_per_state 2048 in
+  Printf.printf
+    "check at Delta = 2048 allocates %.1f minor words and %.1f words in \
+     all per state\n"
+    minor total;
+  if not (minor <= check_minor_words_floor && total <= check_words_floor)
+  then begin
+    Printf.printf
+      "FAIL: the check allocates above %.0f minor / %.0f total words per \
+       state\n"
+      check_minor_words_floor check_words_floor;
     exit 1
   end;
   print_endline "markovscale smoke OK"

@@ -32,6 +32,21 @@ let zone_to_string = function
   | Gap -> "GAP"
   | Broken -> "BROKEN"
 
+(* Solves C_F through the dense/sparse auto route and cross-checks
+   Eq. 37. *)
+let suffix_check ~delta ~alpha =
+  let chain = Suffix_chain.build ~delta ~alpha in
+  let pi = Chain.stationary_auto chain in
+  let closed = Suffix_chain.stationary_closed_form ~delta ~alpha in
+  let states = Chain.size chain in
+  {
+    suffix_states = states;
+    suffix_sparse = states > Chain.sparse_crossover;
+    suffix_deep_mass =
+      pi.(Suffix_chain.index_of_state ~delta Suffix_chain.Deep);
+    suffix_max_abs_error = Linalg.max_abs_diff pi closed;
+  }
+
 let assess (params : Params.t) =
   let c = Params.c params in
   let nu = params.nu in
@@ -57,27 +72,13 @@ let assess (params : Params.t) =
     | Error reason -> (None, Some reason)
   in
   let suffix_diagnostics =
-    (* Only for enumerable integer Δ: solves C_F through the dense/sparse
-       auto route and cross-checks Eq. 37 — a per-point solver health
-       probe that Internet-scale Δ (e.g. Bitcoin's 10^13) skips. *)
+    (* Only for enumerable integer Δ — a per-point solver health probe
+       that Internet-scale Δ (e.g. Bitcoin's 10^13) skips. *)
     let delta = params.delta in
     if Float.is_integer delta && delta >= 1. && delta <= 4096. then begin
-      let d = int_of_float delta in
       let alpha = Params.alpha params in
       if alpha > 0. && alpha < 1. then
-        match
-          let chain = Suffix_chain.build ~delta:d ~alpha in
-          let pi = Chain.stationary_auto chain in
-          let closed = Suffix_chain.stationary_closed_form ~delta:d ~alpha in
-          let states = Chain.size chain in
-          {
-            suffix_states = states;
-            suffix_sparse = states > Chain.sparse_crossover;
-            suffix_deep_mass =
-              pi.(Suffix_chain.index_of_state ~delta:d Suffix_chain.Deep);
-            suffix_max_abs_error = Linalg.max_abs_diff pi closed;
-          }
-        with
+        match suffix_check ~delta:(int_of_float delta) ~alpha with
         | diag -> Some diag
         | exception Invalid_argument _ -> None
         | exception Failure _ -> None

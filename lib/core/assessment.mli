@@ -26,6 +26,13 @@ type suffix_diagnostics = {
     (dense LU below the crossover, the sparse substrate above) checked
     against the closed form. *)
 
+val suffix_check : delta:int -> alpha:float -> suffix_diagnostics
+(** [suffix_check ~delta ~alpha] is the probe itself: build [C_F], solve
+    it through {!Nakamoto_markov.Chain.stationary_auto}, compare with
+    Eq. 37.  {!assess} runs it at every enumerable Δ (1–4096).
+    @raise Invalid_argument if [delta < 1] or [alpha] is outside (0, 1);
+    the solver's own exceptions pass through. *)
+
 type t = {
   params : Params.t;
   zone : zone;

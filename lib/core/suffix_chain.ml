@@ -62,12 +62,9 @@ let transitions ~delta ~alpha i =
 let build ~delta ~alpha =
   check_delta delta;
   check_alpha alpha;
-  let rows =
-    Array.init (state_count ~delta) (fun i -> transitions ~delta ~alpha i)
-  in
-  Chain.create
+  Chain.of_fn
     ~labels:(fun i -> state_label (state_of_index ~delta i))
-    ~size:(state_count ~delta) ~rows ()
+    ~size:(state_count ~delta) (transitions ~delta ~alpha)
 
 let build_sparse ~delta ~alpha =
   check_delta delta;

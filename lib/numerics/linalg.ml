@@ -137,7 +137,16 @@ let max_abs_diff a b =
   !acc
 
 let normalize_l1 v =
-  let total = Array.fold_left ( +. ) 0. v in
+  let n = Array.length v in
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. v.(i)
+  done;
+  let total = !total in
   if not (Float.is_finite total) || total = 0. then
     invalid_arg "Linalg.normalize_l1: entries must sum to a finite nonzero value";
-  Array.map (fun x -> x /. total) v
+  let out = Array.make n 0. in
+  for i = 0 to n - 1 do
+    out.(i) <- v.(i) /. total
+  done;
+  out

@@ -153,6 +153,47 @@ let props =
       (fun (n, rows) -> Chain.is_ergodic (Chain.create ~size:n ~rows ()));
   ]
 
+(* Rows keep the order and the entries they were given: duplicates are
+   summed by [probability] and coalesced only on the way into CSR. *)
+let test_rows_kept_as_given () =
+  let rows = [| [ (1, 0.3); (0, 0.2); (1, 0.5) ]; [ (0, 1.) ] |] in
+  let c = Chain.create ~size:2 ~rows () in
+  check_true "row 0 as given" (Chain.row c 0 = rows.(0));
+  close "duplicates summed" 0.8 (Chain.probability c ~src:0 ~dst:1);
+  check_true "CSR row coalesced and sorted"
+    (Nakamoto_markov.Sparse.row (Chain.to_sparse c) 0
+    = [ (0, 0.2); (1, 0.3 +. 0.5) ]);
+  let from_fn = Chain.of_fn ~size:2 (fun i -> rows.(i)) in
+  check_true "of_fn = create"
+    (Chain.row from_fn 0 = Chain.row c 0
+    && Chain.row from_fn 1 = Chain.row c 1);
+  check_raises_invalid "of_fn validates" (fun () ->
+      ignore (Chain.of_fn ~size:2 (fun _ -> [ (2, 1.) ])))
+
+(* [simulate] draws by inverse CDF over each row in its stored order —
+   checked against a sampler over [row]'s list on the suffix chain, whose
+   Deep row is stored H-first (not in column order). *)
+let test_simulate_stored_order () =
+  let c = Nakamoto_core.Suffix_chain.build ~delta:3 ~alpha:0.4 in
+  let reference g ~start ~steps =
+    let current = ref start in
+    Array.init steps (fun _ ->
+        let row = Array.of_list (Chain.row c !current) in
+        let u = Nakamoto_prob.Rng.float g in
+        let n = Array.length row in
+        let rec pick i acc =
+          if i >= n - 1 then fst row.(n - 1)
+          else
+            let j, p = row.(i) in
+            if u < acc +. p then j else pick (i + 1) (acc +. p)
+        in
+        current := pick 0 0.;
+        !current)
+  in
+  let expected = reference (rng ~seed:5L ()) ~start:3 ~steps:2000 in
+  let got = Chain.simulate ~rng:(rng ~seed:5L ()) c ~start:3 ~steps:2000 in
+  check_true "same trajectory" (expected = got)
+
 let suite =
   [
     case "create validation" test_create_validation;
@@ -165,6 +206,8 @@ let suite =
     case "mixing time" test_mixing_time;
     case "simulate" test_simulate;
     case "occupancy" test_occupancy;
+    case "rows kept as given" test_rows_kept_as_given;
+    case "simulate draws in stored order" test_simulate_stored_order;
     case "power iteration non-convergence message"
       test_power_iteration_nonconvergence_message;
   ]

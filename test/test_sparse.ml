@@ -384,6 +384,45 @@ let test_pin_conv_chain () =
           "a6940146c59b777ae61dca62a53f36f1");
     ]
 
+let test_of_slices_matches_create () =
+  (* Row 0 is canonical and copied; rows 1-3 are unsorted, duplicated or
+     carry a zero and go through the coalescing path; row 4 is empty. *)
+  let entries =
+    [|
+      [ (0, 0.5); (2, 1.5) ];
+      [ (2, 1.); (0, 0.5) ];
+      [ (1, 0.25); (1, 0.5); (0, 2.) ];
+      [ (0, 0.); (1, 3.) ];
+      [];
+    |]
+  in
+  let row_ptr = Array.make 6 0 in
+  Array.iteri
+    (fun i r -> row_ptr.(i + 1) <- row_ptr.(i) + List.length r)
+    entries;
+  let flat = List.concat (Array.to_list entries) in
+  let col_idx = Array.of_list (List.map fst flat) in
+  let values = Array.of_list (List.map snd flat) in
+  let sp = Sparse.of_slices ~rows:5 ~cols:3 ~row_ptr ~col_idx ~values in
+  Alcotest.(check string) "same CSR as create"
+    (csr_digest (Sparse.create ~rows:5 ~cols:3 ~entries))
+    (csr_digest sp);
+  check_raises_invalid "out-of-range column" (fun () ->
+      Sparse.of_slices ~rows:1 ~cols:2 ~row_ptr:[| 0; 1 |] ~col_idx:[| 2 |]
+        ~values:[| 1. |]);
+  check_raises_invalid "non-finite value" (fun () ->
+      Sparse.of_slices ~rows:1 ~cols:2 ~row_ptr:[| 0; 1 |] ~col_idx:[| 1 |]
+        ~values:[| Float.infinity |])
+
+let test_canonical_rows_still_validated () =
+  (* The fast path for ascending rows must not skip the checks. *)
+  check_raises_invalid "ascending row, column out of range" (fun () ->
+      Sparse.create ~rows:1 ~cols:2 ~entries:[| [ (0, 1.); (5, 1.) ] |]);
+  check_raises_invalid "ascending row, non-finite value" (fun () ->
+      Sparse.create ~rows:1 ~cols:2 ~entries:[| [ (0, Float.nan) ] |]);
+  let sp = Sparse.create ~rows:1 ~cols:3 ~entries:[| [ (0, 1.); (2, -1.) ] |] in
+  check_true "ascending row kept" (Sparse.row sp 0 = [ (0, 1.); (2, -1.) ])
+
 let test_pin_fill_chains () =
   List.iter
     (fun (name, seed, n, band, long, drop_down, fill_budget, expected) ->
@@ -405,6 +444,215 @@ let test_pin_fill_chains () =
         "invalid: Sparse.stationary_censor: state 2 has no flow to lower \
          states - the chain is reducible" );
     ]
+
+(* --- the censoring kernel against its reference ---------------------
+   [reference_censor] is the kernel as it stood before its working
+   storage went flat: one growable (column, value) row per state probed
+   by linear scan, a growable predecessor array per column, per-state
+   scratch arrays and the unfold as a list per state.  The flat kernel
+   must match it bit for bit — pi, fill-budget aborts and reducibility
+   messages — on banded chains with random long-range fill. *)
+
+type grow_row = {
+  mutable gk : int array;
+  mutable gv : float array;
+  mutable glen : int;
+}
+
+let grow_find r j =
+  let rec go i =
+    if i >= r.glen then -1 else if r.gk.(i) = j then i else go (i + 1)
+  in
+  go 0
+
+let grow_push r j v =
+  if r.glen = Array.length r.gk then begin
+    let cap = max 8 (2 * r.glen) in
+    let gk = Array.make cap 0 and gv = Array.make cap 0. in
+    Array.blit r.gk 0 gk 0 r.glen;
+    Array.blit r.gv 0 gv 0 r.glen;
+    r.gk <- gk;
+    r.gv <- gv
+  end;
+  r.gk.(r.glen) <- j;
+  r.gv.(r.glen) <- v;
+  r.glen <- r.glen + 1
+
+let grow_remove r idx =
+  let last = r.glen - 1 in
+  r.gk.(idx) <- r.gk.(last);
+  r.gv.(idx) <- r.gv.(last);
+  r.glen <- last
+
+let sort_pairs (keys : int array) (vals : float array) len =
+  for i = 1 to len - 1 do
+    let k = keys.(i) and v = vals.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && keys.(!j) > k do
+      keys.(!j + 1) <- keys.(!j);
+      vals.(!j + 1) <- vals.(!j);
+      decr j
+    done;
+    keys.(!j + 1) <- k;
+    vals.(!j + 1) <- v
+  done
+
+type grow_ints = { mutable ik : int array; mutable ilen : int }
+
+let ints_push r i =
+  if r.ilen = Array.length r.ik then begin
+    let cap = max 8 (2 * r.ilen) in
+    let ik = Array.make cap 0 in
+    Array.blit r.ik 0 ik 0 r.ilen;
+    r.ik <- ik
+  end;
+  r.ik.(r.ilen) <- i;
+  r.ilen <- r.ilen + 1
+
+let reference_censor ?fill_budget t =
+  let n = Sparse.rows t in
+  let fill_budget =
+    match fill_budget with Some b -> b | None -> max 200_000 (64 * n)
+  in
+  if n = 1 then Some [| 1. |]
+  else begin
+    let rowt = Array.init n (fun _ -> { gk = [||]; gv = [||]; glen = 0 }) in
+    let preds = Array.init n (fun _ -> { ik = [||]; ilen = 0 }) in
+    let live = ref 0 in
+    for i = 0 to n - 1 do
+      List.iter
+        (fun (j, v) ->
+          if i <> j && v > 0. then begin
+            grow_push rowt.(i) j v;
+            ints_push preds.(j) i;
+            incr live
+          end)
+        (Sparse.row t i)
+    done;
+    let unfold = Array.make n [] in
+    let blown = ref (!live > fill_budget) in
+    let k = ref (n - 1) in
+    while (not !blown) && !k >= 1 do
+      let kk = !k in
+      let krow = rowt.(kk) in
+      sort_pairs krow.gk krow.gv krow.glen;
+      let s = ref 0. in
+      for x = 0 to krow.glen - 1 do
+        s := !s +. krow.gv.(x)
+      done;
+      let s = !s in
+      if not (s > 0.) then
+        invalid_arg
+          (Printf.sprintf
+             "Sparse.stationary_censor: state %d has no flow to lower \
+              states - the chain is reducible"
+             kk);
+      let pk = preds.(kk) in
+      let pis = Array.make pk.ilen 0 and pvs = Array.make pk.ilen 0. in
+      let m = ref 0 in
+      for x = 0 to pk.ilen - 1 do
+        let i = pk.ik.(x) in
+        if i < kk then begin
+          let idx = grow_find rowt.(i) kk in
+          if idx >= 0 then begin
+            pis.(!m) <- i;
+            pvs.(!m) <- rowt.(i).gv.(idx);
+            incr m
+          end
+        end
+      done;
+      let m = !m in
+      sort_pairs pis pvs m;
+      let scaled_col = ref [] in
+      for x = m - 1 downto 0 do
+        scaled_col := (pis.(x), pvs.(x) /. s) :: !scaled_col
+      done;
+      unfold.(kk) <- !scaled_col;
+      for x = 0 to m - 1 do
+        let i = pis.(x) in
+        let scaled = pvs.(x) /. s in
+        let ri = rowt.(i) in
+        let idx = grow_find ri kk in
+        if idx >= 0 then begin
+          grow_remove ri idx;
+          decr live
+        end;
+        for y = 0 to krow.glen - 1 do
+          let j = krow.gk.(y) in
+          if i <> j then begin
+            let add = scaled *. krow.gv.(y) in
+            let jdx = grow_find ri j in
+            if jdx >= 0 then ri.gv.(jdx) <- ri.gv.(jdx) +. add
+            else begin
+              grow_push ri j add;
+              ints_push preds.(j) i;
+              incr live;
+              if !live > fill_budget then blown := true
+            end
+          end
+        done
+      done;
+      decr k
+    done;
+    if !blown then None
+    else begin
+      let pi = Array.make n 0. in
+      pi.(0) <- 1.;
+      for kk = 1 to n - 1 do
+        pi.(kk) <-
+          List.fold_left
+            (fun acc (i, w) -> acc +. (pi.(i) *. w))
+            0. unfold.(kk)
+      done;
+      Some (Linalg.normalize_l1 pi)
+    end
+  end
+
+let reference_digest ?fill_budget sp =
+  match reference_censor ?fill_budget sp with
+  | r -> bits_digest r
+  | exception Invalid_argument msg -> "invalid: " ^ msg
+
+let test_reference_on_pins () =
+  (* The reference reproduces the pinned C_F bits, so it is the kernel
+     the pins were taken from. *)
+  List.iter
+    (fun (delta, alpha) ->
+      let sp = Suffix_chain.build_sparse ~delta ~alpha in
+      Alcotest.(check string)
+        (Printf.sprintf "delta=%d alpha=%g" delta alpha)
+        (reference_digest sp) (censor_digest sp))
+    [ (1, 0.3); (7, 0.01); (256, 1e-4); (600, 0.9) ]
+
+(* A random chain and fill budget: n <= 120 keeps the reference's linear
+   scans quick on the densest fill.  The budget straddles the initial nnz
+   and the peak live count, so runs split between early aborts, aborts
+   mid-elimination and full solves; one row in [drop_down] loses its
+   downward flow, which makes some chains reducible. *)
+let gen_fill_case =
+  QCheck2.Gen.(
+    let* seed = int_range 1 1_000_000 in
+    let* n = int_range 1 120 in
+    let* band = int_range 1 6 in
+    let* long = int_range 0 4 in
+    let* drop_down = oneofl [ 0.; 0.; 0.02; 0.2 ] in
+    let* budget = oneof [ return None; map Option.some (int_range 0 6000) ] in
+    return (Int64.of_int seed, n, band, long, drop_down, budget))
+
+let print_fill_case (seed, n, band, long, drop_down, budget) =
+  Printf.sprintf "seed=%Ld n=%d band=%d long=%d drop_down=%g budget=%s" seed
+    n band long drop_down
+    (match budget with Some b -> string_of_int b | None -> "default")
+
+let props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~print:print_fill_case
+         ~name:"flat censor = reference kernel, bit for bit" gen_fill_case
+         (fun (seed, n, band, long, drop_down, fill_budget) ->
+           let sp = fill_chain ~seed ~n ~band ~long ~drop_down in
+           censor_digest ?fill_budget sp = reference_digest ?fill_budget sp));
+  ]
 
 let suite =
   [
@@ -432,4 +680,9 @@ let suite =
     case "pin: C_F censor and auto-route bits" test_pin_suffix_chain;
     case "pin: C_F||P CSR and censor bits" test_pin_conv_chain;
     case "pin: seeded fill-heavy chains" test_pin_fill_chains;
+    case "reference kernel reproduces the C_F pins" test_reference_on_pins;
+    case "of_slices matches create" test_of_slices_matches_create;
+    case "canonical rows are still validated"
+      test_canonical_rows_still_validated;
   ]
+  @ props
