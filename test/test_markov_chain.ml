@@ -206,9 +206,11 @@ let suite =
     case "mixing time" test_mixing_time;
     case "simulate" test_simulate;
     case "occupancy" test_occupancy;
-    case "rows kept as given" test_rows_kept_as_given;
-    case "simulate draws in stored order" test_simulate_stored_order;
     case "power iteration non-convergence message"
       test_power_iteration_nonconvergence_message;
   ]
   @ props
+  @ [
+      case "rows kept as given" test_rows_kept_as_given;
+      case "simulate draws in stored order" test_simulate_stored_order;
+    ]
